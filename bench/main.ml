@@ -827,7 +827,7 @@ let start_metrics_ticker interval =
         let words = Obs.Tsdb.words_for () in
         let region = Pmem.create ~size_bytes:(words * 8) () in
         let db =
-          Obs.Tsdb.format (Pmem.flight_backend region ~first_word:0 ~words)
+          Obs.Tsdb.format (Pmem.window region ~first_word:0 ~words)
         in
         (* windowed (not lifetime) latency percentile source: each call
            diffs the histogram against the previous tick's snapshot *)

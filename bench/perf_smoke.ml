@@ -474,7 +474,7 @@ let () =
     ignore (Workloads.Threadtest.run alloc ~threads:1 tp_param);
     let words = Obs.Tsdb.words_for () in
     let region = Pmem.create ~size_bytes:(words * 8) () in
-    let db = Obs.Tsdb.format (Pmem.flight_backend region ~first_word:0 ~words) in
+    let db = Obs.Tsdb.format (Pmem.window region ~first_word:0 ~words) in
     let sampler = Obs.Tsdb.Sampler.create db (Ralloc.tsdb_global_sources ()) in
     let batch n =
       let t0 = Unix.gettimeofday () in

@@ -248,7 +248,8 @@ let print_prof heap =
    Ends with machine-readable lines for the crash-suite gate. *)
 let print_timeline heap =
   match Ralloc.tsdb heap with
-  | None -> fail "no metrics black box in this image (pre-v3 layout)"
+  | None ->
+    fail "no metrics black box in this image (window header missing or corrupt)"
   | Some db ->
     let n_series = Obs.Tsdb.series_count db in
     let fine = Obs.Tsdb.points db `Fine in

@@ -560,53 +560,28 @@ module Span = struct
   let sink_get ch = (Domain.DLS.get sink_dls).sink.(ch)
 end
 
+(* The checksummed persistent ring every black box below is a view
+   over; see pring.mli. *)
+module Pring = Pring
+
 (* ------------------------------------------------------------------ *)
 (* Persistent flight recorder                                         *)
 (*                                                                    *)
 (* A fixed-size event ring living in a window of simulated NVM, so the *)
 (* last N allocator lifecycle events survive a crash and can explain   *)
-(* how the heap got into its state.  This module owns only the layout  *)
-(* and the write protocol; the NVM itself is reached through an        *)
-(* abstract [backend] record because lib/pmem depends on lib/obs, not  *)
-(* the other way around — Pmem.flight_backend closes the loop.         *)
+(* how the heap got into its state: a one-line [Pring] behind a header *)
+(* of per-kind lifetime counters.  Layout, in window words:           *)
 (*                                                                    *)
-(* Layout, in words relative to the backend window (everything         *)
-(* position-independent: the ring stores offsets and sequence numbers, *)
-(* never virtual addresses):                                           *)
+(*   line 0     (words 0..7)    magic, capacity                       *)
+(*   lines 1-2  (words 8..23)   16 per-kind lifetime event counters    *)
+(*   word 24 onward             the ring: [seq | kind a b c ts 0 | ck] *)
 (*                                                                    *)
-(*   line 0   (words 0..7)    magic, capacity, head cursor, reserved   *)
-(*   lines 1-2 (words 8..23)  16 per-kind lifetime event counters      *)
-(*   word 24 onward           capacity * 8-word entries, one per line  *)
-(*                                                                    *)
-(* An entry is exactly one cache line:                                 *)
-(*                                                                    *)
-(*   [seq | kind | a | b | c | ts_ns | checksum | 0]                   *)
-(*                                                                    *)
-(* with seq starting at 1 (0 = never written) and the checksum a       *)
-(* nonzero 62-bit hash of the other six fields.  The simulated NVM     *)
-(* never tears within a line, so a slot is either the complete old     *)
-(* entry, the complete new entry, or — if an eviction persisted the    *)
-(* line mid-composition — a mix whose checksum cannot match; a torn    *)
-(* tail entry is therefore always detected and never misparsed.        *)
-(*                                                                    *)
-(* Write protocol per event: claim a slot with fetch_add on the head   *)
-(* cursor, compose the entry, flush its line, bump + flush the kind    *)
-(* counter's line, fence.  Exactly 2 flushes + 1 fence per event in    *)
-(* any pmem mode, zero when disabled.  The head cursor itself is       *)
-(* never flushed — its durable value would race the entries it counts  *)
-(* — and is instead rebuilt at [attach] as max(valid seq) + 1.         *)
+(* Write protocol per event: append the entry (1 flush), bump + flush  *)
+(* the kind counter's line, fence.  Exactly 2 flushes + 1 fence per    *)
+(* event in any pmem mode, zero when disabled.                        *)
 (* ------------------------------------------------------------------ *)
 
 module Flight = struct
-  type backend = {
-    words : int;
-    load : int -> int;
-    store : int -> int -> unit;
-    fetch_add : int -> int -> int;
-    flush : int -> unit;
-    fence : unit -> unit;
-  }
-
   module Kind = struct
     let malloc = 1
     let free = 2
@@ -643,57 +618,32 @@ module Flight = struct
       | k -> Printf.sprintf "kind_%d" k
   end
 
-  let off_magic = 0
-  let off_capacity = 1
-  let off_head = 2
   let off_counters = 8
   let nkinds = 16
   let header_words = off_counters + nkinds (* 24: a multiple of a line *)
-  let entry_words = 8
   let magic = 0x464C495245434F52 land max_int (* "FLIRECOR", 62-bit *)
 
   let recording_on = ref false
   let set_enabled b = recording_on := b && not (hard_disabled ())
   let enabled () = !recording_on
 
-  type t = { b : backend; capacity : int; mask : int }
+  type t = { b : Pring.backend; ring : Pring.t }
 
-  let capacity t = t.capacity
-
-  let round_pow2 n =
-    let rec go p = if p >= n then p else go (p * 2) in
-    go 1
-
-  let words_for ~capacity = header_words + (round_pow2 (max 1 capacity) * entry_words)
-
-  (* 62-bit mix of the six entry fields (splitmix-style finalizer steps,
-     wrapping OCaml multiplication), forced nonzero so a zeroed slot can
-     never look checksummed. *)
-  let checksum seq kind a b c ts =
-    let mix h v =
-      let h = h lxor (v + 0x1e3779b97f4a7c15 + (h lsl 6) + (h lsr 2)) in
-      let h = h * 0x3f58476d1ce4e5b9 in
-      h lxor (h lsr 27)
-    in
-    let h = List.fold_left mix 0x52414C4C4F43 [ seq; kind; a; b; c; ts ] in
-    let h = h land max_int in
-    if h = 0 then 1 else h
+  let capacity t = Pring.capacity t.ring
+  let words_for ~capacity = header_words + Pring.words_for ~lines:1 ~capacity
 
   let format b ~capacity =
-    let capacity = round_pow2 (max 1 capacity) in
-    if words_for ~capacity > b.words then
-      invalid_arg "Obs.Flight.format: window too small for capacity";
-    b.store off_magic magic;
-    b.store off_capacity capacity;
-    b.store off_head 1;
-    for i = 0 to nkinds - 1 do
-      b.store (off_counters + i) 0
-    done;
-    (* zero the slots: a stale image fragment must not parse as events *)
-    for w = header_words to header_words + (capacity * entry_words) - 1 do
-      b.store w 0
-    done;
-    { b; capacity; mask = capacity - 1 }
+    let ring = Pring.format b ~base:header_words ~lines:1 ~capacity in
+    Pring.stamp b ~magic [| capacity |];
+    Pring.zero b ~base:off_counters ~words:nkinds;
+    { b; ring }
+
+  let attach b =
+    match Pring.stamped b ~magic 1 with
+    | Some [| cap |] when cap >= 1 && words_for ~capacity:cap <= b.Pring.words
+      ->
+      Some { b; ring = Pring.attach b ~base:header_words ~lines:1 ~capacity:cap }
+    | _ -> None
 
   type event = {
     seq : int;
@@ -704,63 +654,21 @@ module Flight = struct
     ts_ns : int;
   }
 
-  (* [Some ev] if slot [s] holds a complete entry, [None] if it is empty
-     or torn (checksum mismatch). *)
-  let read_slot t s =
-    let w = header_words + (s * entry_words) in
-    let seq = t.b.load w in
-    if seq = 0 then None
-    else
-      let kind = t.b.load (w + 1) in
-      let a = t.b.load (w + 2) in
-      let arg_b = t.b.load (w + 3) in
-      let c = t.b.load (w + 4) in
-      let ts_ns = t.b.load (w + 5) in
-      if t.b.load (w + 6) = checksum seq kind a arg_b c ts_ns then
-        Some { seq; kind; a; arg_b; c; ts_ns }
-      else None
-
-  let attach b =
-    if b.words < header_words then None
-    else if b.load off_magic <> magic then None
-    else begin
-      let cap = b.load off_capacity in
-      if cap < 1 || cap land (cap - 1) <> 0 || words_for ~capacity:cap > b.words
-      then None
-      else begin
-        let t = { b; capacity = cap; mask = cap - 1 } in
-        (* Rebuild the never-flushed head cursor from the durable entries:
-           the next sequence number is one past the newest valid entry. *)
-        let hi = ref 0 in
-        for s = 0 to cap - 1 do
-          match read_slot t s with
-          | Some e -> if e.seq > !hi then hi := e.seq
-          | None -> ()
-        done;
-        b.store off_head (!hi + 1);
-        Some t
-      end
-    end
-
   (* The ungated write path: used by [record] under this module's flag,
      and by the provenance ring ([Prof.Ring] below) under the profiler's
      own flag — the two recorders share one entry protocol but toggle
      independently. *)
   let record_now t ~kind ?(a = 0) ?(b = 0) ?(c = 0) () =
-    let seq = t.b.fetch_add off_head 1 in
-    let w = header_words + (((seq - 1) land t.mask) * entry_words) in
-    let ts = now_ns () in
-    t.b.store w seq;
-    t.b.store (w + 1) kind;
-    t.b.store (w + 2) a;
-    t.b.store (w + 3) b;
-    t.b.store (w + 4) c;
-    t.b.store (w + 5) ts;
-    t.b.store (w + 6) (checksum seq kind a b c ts);
-    t.b.store (w + 7) 0;
+    let p = Pring.scratch () in
+    p.(0) <- kind;
+    p.(1) <- a;
+    p.(2) <- b;
+    p.(3) <- c;
+    p.(4) <- now_ns ();
+    p.(5) <- 0;
+    Pring.append t.ring p;
     let kc = off_counters + (kind land (nkinds - 1)) in
     ignore (t.b.fetch_add kc 1);
-    t.b.flush w;
     t.b.flush kc;
     t.b.fence ()
 
@@ -771,34 +679,30 @@ module Flight = struct
      crash these are exactly the events whose [record] had fenced (plus
      any that happened to be evicted). *)
   let tail ?limit t =
-    let acc = ref [] in
-    for s = 0 to t.capacity - 1 do
-      match read_slot t s with
-      | Some e -> acc := e :: !acc
-      | None -> ()
-    done;
-    let evs = List.sort (fun x y -> compare x.seq y.seq) !acc in
-    match limit with
-    | Some n when n >= 0 && List.length evs > n ->
-      (* keep the newest n *)
-      let drop = List.length evs - n in
-      List.filteri (fun i _ -> i >= drop) evs
-    | _ -> evs
+    let evs =
+      Pring.fold t.ring
+        (fun acc ~seq p ->
+          let e =
+            { seq; kind = p.(0); a = p.(1); arg_b = p.(2); c = p.(3);
+              ts_ns = p.(4) }
+          in
+          e :: acc)
+        []
+    in
+    (* [evs] is newest first: keep the newest [limit] *)
+    let evs =
+      match limit with
+      | Some n when n >= 0 -> List.filteri (fun i _ -> i < n) evs
+      | _ -> evs
+    in
+    List.rev evs
 
-  (* Slots holding a nonzero seq whose checksum does not match: entries
-     whose line reached the persistent view mid-composition. *)
-  let torn_slots t =
-    let n = ref 0 in
-    for s = 0 to t.capacity - 1 do
-      let w = header_words + (s * entry_words) in
-      if t.b.load w <> 0 && read_slot t s = None then incr n
-    done;
-    !n
+  let torn_slots t = Pring.torn_slots t.ring
 
   let kind_count t k =
     if k < 0 || k >= nkinds then 0 else t.b.load (off_counters + k)
 
-  let total_recorded t = t.b.load off_head - 1
+  let total_recorded t = Pring.total t.ring
 
   let pp_event ppf e =
     Format.fprintf ppf "#%-6d %-15s a=%-8d b=%-8d c=%-10d ts=%d" e.seq
@@ -1258,84 +1162,28 @@ module Prof = struct
     let free_count t = Flight.kind_count t free_kind
   end
 
-  (* The persistent interned site-name table: fixed-capacity array of
-     one-line records indexed by site id, written durably the first time
-     a site is sampled on a given heap, so [Ring] entries resolve to
-     names offline.  Record layout: word 0 = name length in bytes (0 =
-     empty slot, stored last so an early eviction reads as empty), words
-     1..7 = up to 49 name bytes packed 7 per word little-endian. *)
+  (* The persistent interned site-name table: a header line plus a
+     [Pring.Names] table indexed by site id, written durably the first
+     time a site is sampled on a given heap, so [Ring] entries resolve to
+     names offline. *)
   module Ptab = struct
+    include Pring.Names
+
     let magic = 0x50524F4653495445 land max_int (* "PROFSITE" *)
     let header_words = 8
-    let record_words = 8
-    let max_name = 49
+    let words_for ~capacity = header_words + words_for ~capacity
 
-    type t = { b : Flight.backend; capacity : int }
+    let format b ~capacity =
+      let t = format b ~base:header_words ~capacity in
+      Pring.stamp b ~magic [| capacity |];
+      t
 
-    let capacity t = t.capacity
-    let words_for ~capacity = header_words + (capacity * record_words)
-
-    let format (b : Flight.backend) ~capacity =
-      if capacity < 1 || words_for ~capacity > b.Flight.words then
-        invalid_arg "Obs.Prof.Ptab.format: window too small for capacity";
-      b.Flight.store 0 magic;
-      b.Flight.store 1 capacity;
-      for w = header_words to words_for ~capacity - 1 do
-        b.Flight.store w 0
-      done;
-      { b; capacity }
-
-    let attach (b : Flight.backend) =
-      if b.Flight.words < header_words then None
-      else if b.Flight.load 0 <> magic then None
-      else
-        let cap = b.Flight.load 1 in
-        if cap < 1 || words_for ~capacity:cap > b.Flight.words then None
-        else Some { b; capacity = cap }
-
-    (* Durable when it returns: the record is one cache line, so this is
-       1 flush + 1 fence.  Out-of-range ids are skipped (the ring entry
-       then prints as "(site N)" offline). *)
-    let persist t id name =
-      if id >= 0 && id < t.capacity then begin
-        let w0 = header_words + (id * record_words) in
-        let n = min (String.length name) max_name in
-        for wi = 0 to 6 do
-          let word = ref 0 in
-          for bi = 0 to 6 do
-            let i = (wi * 7) + bi in
-            if i < n then word := !word lor (Char.code name.[i] lsl (bi * 8))
-          done;
-          t.b.Flight.store (w0 + 1 + wi) !word
-        done;
-        t.b.Flight.store w0 n;
-        t.b.Flight.flush w0;
-        t.b.Flight.fence ()
-      end
-
-    let name t id =
-      if id < 0 || id >= t.capacity then None
-      else
-        let w0 = header_words + (id * record_words) in
-        let n = t.b.Flight.load w0 in
-        if n <= 0 || n > max_name then None
-        else begin
-          let buf = Bytes.create n in
-          for i = 0 to n - 1 do
-            let wi = i / 7 and bi = i mod 7 in
-            Bytes.set buf i
-              (Char.chr
-                 ((t.b.Flight.load (w0 + 1 + wi) lsr (bi * 8)) land 0xFF))
-          done;
-          Some (Bytes.to_string buf)
-        end
-
-    let count t =
-      let n = ref 0 in
-      for id = 0 to t.capacity - 1 do
-        if name t id <> None then incr n
-      done;
-      !n
+    let attach b =
+      match Pring.stamped b ~magic 1 with
+      | Some [| cap |] when cap >= 1 && words_for ~capacity:cap <= b.Pring.words
+        ->
+        Some (attach b ~base:header_words ~capacity:cap)
+      | _ -> None
   end
 
 end
@@ -1355,34 +1203,23 @@ end
 (* Geometry, in words relative to the backend window:                 *)
 (*                                                                    *)
 (*   line 0                  magic + fixed geometry descriptor        *)
-(*   max_series lines        series-name records (Ptab discipline:    *)
-(*                           length word stored last in the line)     *)
-(*   fine/mid/coarse rings   capacity * record_words sample records   *)
+(*   max_series lines        series names (a [Pring.Names] table)     *)
+(*   fine/mid/coarse rings   three 4-line [Pring]s of sample records  *)
 (*                                                                    *)
-(* A sample record is [record_lines] consecutive cache lines:         *)
-(*                                                                    *)
-(*   [seq | ts_ns | count | 0 0 0 0 | checksum]   header line         *)
-(*   [v0 .. v7] [v8 .. v15] [v16 .. v23]          value lines         *)
-(*                                                                    *)
+(* A sample record's payload is [ts_ns | count | v0 .. v23 | 0 0 0 0] *)
 (* where [count] is the number of fine ticks aggregated (1 in the     *)
 (* fine ring) and each value word is the SUM of those ticks' values,  *)
 (* so sums — and therefore means, via count — are conserved exactly   *)
-(* across resolutions.  The checksum covers every field including all *)
-(* value words; value lines are stored before the header line, so a   *)
-(* record whose lines reached the persistent view mid-composition     *)
-(* (spontaneous eviction — the write protocol itself ends in a fence) *)
-(* fails its checksum and is dropped at attach, never misparsed.      *)
+(* across resolutions.                                                *)
 (*                                                                    *)
-(* Write protocol per tick: compose + flush the fine record           *)
-(* ([record_lines] flushes), ditto for a mid/coarse record when the   *)
-(* tick closes their window, then exactly one fence.  Head cursors    *)
-(* are volatile and rebuilt at attach as max(valid seq) + 1, exactly  *)
-(* like the flight recorder's.  Zero work of any kind when disabled.  *)
+(* Write protocol per tick: append the fine record (4 flushes), ditto *)
+(* for a mid/coarse record when the tick closes their window, then    *)
+(* exactly one fence.  Zero work of any kind when disabled.           *)
 (* ------------------------------------------------------------------ *)
 
 module Tsdb = struct
   let max_series = 24
-  let max_name = 49
+  let max_name = Pring.Names.max_name
 
   let fine_capacity = 320
   let mid_capacity = 360
@@ -1390,16 +1227,17 @@ module Tsdb = struct
   let mid_ratio = 10
   let coarse_ratio = 60
 
-  let value_lines = (max_series + 7) / 8
-  let record_lines = 1 + value_lines
-  let record_words = record_lines * 8
-  let header_words = 8
-  let name_words = 8
-  let names_base = header_words
-  let fine_base = names_base + (max_series * name_words)
-  let mid_base = fine_base + (fine_capacity * record_words)
-  let coarse_base = mid_base + (mid_capacity * record_words)
-  let total_words = coarse_base + (coarse_capacity * record_words)
+  (* seq, ts, count, the values and the checksum, in whole lines *)
+  let record_lines = (max_series + 4 + 7) / 8
+  let geometry =
+    [| max_series; fine_capacity; mid_capacity; coarse_capacity; mid_ratio;
+       coarse_ratio |]
+  let ring_words capacity = Pring.words_for ~lines:record_lines ~capacity
+  let names_base = 8 (* after the header line *)
+  let fine_base = names_base + Pring.Names.words_for ~capacity:max_series
+  let mid_base = fine_base + ring_words fine_capacity
+  let coarse_base = mid_base + ring_words mid_capacity
+  let total_words = coarse_base + ring_words coarse_capacity
   let words_for () = total_words
   let magic = 0x5453444252494E47 land max_int (* "TSDBRING" *)
 
@@ -1409,173 +1247,65 @@ module Tsdb = struct
 
   type ring = [ `Fine | `Mid | `Coarse ]
 
-  let ring_base = function
-    | `Fine -> fine_base
-    | `Mid -> mid_base
-    | `Coarse -> coarse_base
-
-  let ring_capacity = function
-    | `Fine -> fine_capacity
-    | `Mid -> mid_capacity
-    | `Coarse -> coarse_capacity
-
   let ring_slot = function `Fine -> 0 | `Mid -> 1 | `Coarse -> 2
 
   type t = {
-    b : Flight.backend;
+    b : Pring.backend;
     lock : Mutex.t;
     mutable nseries : int;
     names : string array;
-    heads : int array; (* next seq per ring: fine, mid, coarse *)
+    tab : Pring.Names.t;
+    rings : Pring.t array; (* fine, mid, coarse *)
     acc_mid : int array;
     acc_coarse : int array;
     mutable acc_mid_count : int;
     mutable acc_coarse_count : int;
   }
 
-  (* Same splitmix-style mix as the flight recorder's checksum, folded
-     over the whole record (header fields then every value word), forced
-     nonzero so a zeroed slot can never look checksummed. *)
-  let mix h v =
-    let h = h lxor (v + 0x1e3779b97f4a7c15 + (h lsl 6) + (h lsr 2)) in
-    let h = h * 0x3f58476d1ce4e5b9 in
-    h lxor (h lsr 27)
-
-  let checksum ~seq ~ts ~count value =
-    let h = mix (mix (mix 0x54534442 seq) ts) count in
-    let h = ref h in
-    for i = 0 to max_series - 1 do
-      h := mix !h (value i)
-    done;
-    let h = !h land max_int in
-    if h = 0 then 1 else h
-
-  let fresh b =
+  let fresh b tab rings =
     {
       b;
       lock = Mutex.create ();
       nseries = 0;
       names = Array.make max_series "";
-      heads = Array.make 3 1;
+      tab;
+      rings;
       acc_mid = Array.make max_series 0;
       acc_coarse = Array.make max_series 0;
       acc_mid_count = 0;
       acc_coarse_count = 0;
     }
 
-  let format (b : Flight.backend) =
-    if b.Flight.words < total_words then
-      invalid_arg "Obs.Tsdb.format: window too small";
-    b.Flight.store 0 magic;
-    b.Flight.store 1 max_series;
-    b.Flight.store 2 fine_capacity;
-    b.Flight.store 3 mid_capacity;
-    b.Flight.store 4 coarse_capacity;
-    b.Flight.store 5 mid_ratio;
-    b.Flight.store 6 coarse_ratio;
-    b.Flight.store 7 0;
-    (* zero the name table and every ring slot: stale image fragments
-       must not parse as series or samples *)
-    for w = names_base to total_words - 1 do
-      b.Flight.store w 0
-    done;
-    fresh b
+  let open_rings f b =
+    Array.map
+      (fun (base, capacity) -> f b ~base ~lines:record_lines ~capacity)
+      [| (fine_base, fine_capacity); (mid_base, mid_capacity);
+         (coarse_base, coarse_capacity) |]
 
-  (* ---- series-name records (Ptab discipline: length stored last) ---- *)
+  let format b =
+    let rings = open_rings Pring.format b in
+    let tab = Pring.Names.format b ~base:names_base ~capacity:max_series in
+    Pring.stamp b ~magic geometry;
+    fresh b tab rings
 
-  let persist_name t id name =
-    let w0 = names_base + (id * name_words) in
-    let n = min (String.length name) max_name in
-    for wi = 0 to 6 do
-      let word = ref 0 in
-      for bi = 0 to 6 do
-        let i = (wi * 7) + bi in
-        if i < n then word := !word lor (Char.code name.[i] lsl (bi * 8))
-      done;
-      t.b.Flight.store (w0 + 1 + wi) !word
-    done;
-    t.b.Flight.store w0 n;
-    t.b.Flight.flush w0;
-    t.b.Flight.fence ()
-
-  let load_name (b : Flight.backend) id =
-    let w0 = names_base + (id * name_words) in
-    let n = b.Flight.load w0 in
-    if n <= 0 || n > max_name then None
-    else begin
-      let buf = Bytes.create n in
-      for i = 0 to n - 1 do
-        let wi = i / 7 and bi = i mod 7 in
-        Bytes.set buf i
-          (Char.chr ((b.Flight.load (w0 + 1 + wi) lsr (bi * 8)) land 0xFF))
-      done;
-      Some (Bytes.to_string buf)
-    end
-
-  (* ---- sample records ---- *)
-
-  type point = {
-    p_seq : int;
-    p_ts_ns : int;
-    p_count : int;
-    p_values : int array; (* SUMS of [p_count] fine ticks, length max_series *)
-  }
-
-  let read_record (b : Flight.backend) base slot =
-    let w0 = base + (slot * record_words) in
-    let seq = b.Flight.load w0 in
-    if seq = 0 then None
-    else
-      let ts = b.Flight.load (w0 + 1) in
-      let count = b.Flight.load (w0 + 2) in
-      let v i = b.Flight.load (w0 + 8 + i) in
-      if b.Flight.load (w0 + 7) <> checksum ~seq ~ts ~count v then None
-      else
-        Some
-          {
-            p_seq = seq;
-            p_ts_ns = ts;
-            p_count = count;
-            p_values = Array.init max_series v;
-          }
-
-  let attach (b : Flight.backend) =
-    if b.Flight.words < total_words then None
-    else if b.Flight.load 0 <> magic then None
-    else if
-      b.Flight.load 1 <> max_series
-      || b.Flight.load 2 <> fine_capacity
-      || b.Flight.load 3 <> mid_capacity
-      || b.Flight.load 4 <> coarse_capacity
-      || b.Flight.load 5 <> mid_ratio
-      || b.Flight.load 6 <> coarse_ratio
-    then None (* formatted by a build with a different geometry *)
-    else begin
-      let t = fresh b in
+  let attach b =
+    match Pring.stamped b ~magic (Array.length geometry) with
+    | Some g when g = geometry && b.Pring.words >= total_words ->
+      let t =
+        fresh b
+          (Pring.Names.attach b ~base:names_base ~capacity:max_series)
+          (open_rings Pring.attach b)
+      in
       (* rebuild the volatile series table from the persisted names *)
-      let hi_series = ref 0 in
       for id = 0 to max_series - 1 do
-        match load_name b id with
+        match Pring.Names.name t.tab id with
         | Some n ->
           t.names.(id) <- n;
-          hi_series := id + 1
+          t.nseries <- id + 1
         | None -> ()
       done;
-      t.nseries <- !hi_series;
-      (* rebuild each ring's never-flushed head cursor *)
-      List.iter
-        (fun r ->
-          let base = ring_base r and cap = ring_capacity r in
-          let hi = ref 0 in
-          for s = 0 to cap - 1 do
-            match read_record b base s with
-            | Some p -> if p.p_seq > !hi then hi := p.p_seq
-            | None -> ()
-          done;
-          t.heads.(ring_slot r) <- !hi + 1)
-        [ `Fine; `Mid; `Coarse ];
       Some t
-    end
+    | _ -> None (* no black box, or one of a different geometry *)
 
   let declare t name =
     Mutex.lock t.lock;
@@ -1595,7 +1325,7 @@ module Tsdb = struct
         let id = t.nseries in
         t.names.(id) <- name;
         t.nseries <- id + 1;
-        if !tsdb_on then persist_name t id name;
+        if !tsdb_on then Pring.Names.persist t.tab id name;
         id
     in
     Mutex.unlock t.lock;
@@ -1617,25 +1347,15 @@ module Tsdb = struct
 
   (* Compose + flush one record; the caller owns the fence. *)
   let write_record t r ~ts ~count vals =
-    let base = ring_base r and cap = ring_capacity r in
-    let seq = t.heads.(ring_slot r) in
-    t.heads.(ring_slot r) <- seq + 1;
-    let w0 = base + (((seq - 1) mod cap) * record_words) in
-    let v i = if i < Array.length vals then vals.(i) else 0 in
-    for i = 0 to max_series - 1 do
-      t.b.Flight.store (w0 + 8 + i) (v i)
+    let ring = t.rings.(ring_slot r) in
+    let p = Pring.scratch () in
+    p.(0) <- ts;
+    p.(1) <- count;
+    for i = 0 to Pring.payload_words ring - 3 do
+      p.(2 + i) <-
+        (if i < max_series && i < Array.length vals then vals.(i) else 0)
     done;
-    t.b.Flight.store w0 seq;
-    t.b.Flight.store (w0 + 1) ts;
-    t.b.Flight.store (w0 + 2) count;
-    t.b.Flight.store (w0 + 3) 0;
-    t.b.Flight.store (w0 + 4) 0;
-    t.b.Flight.store (w0 + 5) 0;
-    t.b.Flight.store (w0 + 6) 0;
-    t.b.Flight.store (w0 + 7) (checksum ~seq ~ts ~count v);
-    for l = 0 to record_lines - 1 do
-      t.b.Flight.flush (w0 + (l * 8))
-    done
+    Pring.append ring p
 
   let sample t ~ts_ns values =
     if !tsdb_on then begin
@@ -1658,36 +1378,32 @@ module Tsdb = struct
         Array.fill t.acc_coarse 0 max_series 0;
         t.acc_coarse_count <- 0
       end;
-      t.b.Flight.fence ();
+      t.b.fence ();
       Mutex.unlock t.lock
     end
 
   (* ---- read side ---- *)
 
+  type point = {
+    p_seq : int;
+    p_ts_ns : int;
+    p_count : int;
+    p_values : int array; (* SUMS of [p_count] fine ticks, length max_series *)
+  }
+
   let points t r =
-    let base = ring_base r and cap = ring_capacity r in
-    let acc = ref [] in
-    for s = 0 to cap - 1 do
-      match read_record t.b base s with
-      | Some p -> acc := p :: !acc
-      | None -> ()
-    done;
-    List.sort (fun a b -> compare a.p_seq b.p_seq) !acc
+    List.rev
+      (Pring.fold t.rings.(ring_slot r)
+         (fun acc ~seq p ->
+           { p_seq = seq; p_ts_ns = p.(0); p_count = p.(1);
+             p_values = Array.sub p 2 max_series }
+           :: acc)
+         [])
 
   let torn_slots t =
-    let n = ref 0 in
-    List.iter
-      (fun r ->
-        let base = ring_base r and cap = ring_capacity r in
-        for s = 0 to cap - 1 do
-          let w0 = base + (s * record_words) in
-          if t.b.Flight.load w0 <> 0 && read_record t.b base s = None then
-            incr n
-        done)
-      [ `Fine; `Mid; `Coarse ];
-    !n
+    Array.fold_left (fun n r -> n + Pring.torn_slots r) 0 t.rings
 
-  let total_samples t = t.heads.(0) - 1
+  let total_samples t = Pring.total t.rings.(0)
 
   let series_points t r id =
     if id < 0 || id >= max_series then []

@@ -337,6 +337,14 @@ module Span : sig
       contributions, e.g. allocator time minus its own flush time). *)
 end
 
+(** {1 Persistent rings}
+
+    The checksummed persistent-ring primitive that the flight recorder,
+    the provenance ring, the site table and the metrics black box are
+    views over.  See {!Pring}. *)
+
+module Pring = Pring
+
 (** {1 Persistent flight recorder}
 
     A fixed-size ring of allocator lifecycle events living in simulated
@@ -348,25 +356,10 @@ end
     The ring is position-independent: entries carry sequence numbers,
     event kinds and region {e offsets}, never virtual addresses, so an
     image can be inspected by a process that never maps the heap at the
-    original address (see [bin/rstat]).
-
-    lib/pmem depends on lib/obs, so this module cannot reach the NVM
-    directly; it writes through an abstract {!Flight.backend} that
-    [Pmem.flight_backend] constructs over a reserved window of a region,
-    routing flushes and fences through the write-combining pipeline. *)
+    original address (see [bin/rstat]).  It is a one-line {!Pring}
+    behind a header of persistent per-kind counters. *)
 
 module Flight : sig
-  type backend = {
-    words : int;  (** window size in words *)
-    load : int -> int;  (** read the word at a window-relative index *)
-    store : int -> int -> unit;
-    fetch_add : int -> int -> int;
-    flush : int -> unit;  (** write back the line containing the word *)
-    fence : unit -> unit;
-  }
-  (** How the recorder reaches its NVM window.  All indices are words
-      relative to the window start, which must be cache-line aligned. *)
-
   (** Event kind codes stored in entries (all < 16).  {!Kind.name} maps a
       code back to a label for display. *)
   module Kind : sig
@@ -432,29 +425,26 @@ module Flight : sig
   (** Whether flight recording is currently on. *)
 
   val words_for : capacity:int -> int
-  (** Window size in words needed for a ring of [capacity] entries
-      (capacity is rounded up to a power of two): the 3-line header plus
-      one 64-byte line per entry. *)
+  (** Window size in words needed for a ring of [capacity] entries: the
+      3-line header plus one 64-byte line per entry. *)
 
-  val format : backend -> capacity:int -> t
+  val format : Pring.backend -> capacity:int -> t
   (** Initialize a fresh ring in the window: magic, capacity, zeroed
       event counters and slots.  Durability is the caller's concern
       (heap formatting ends in a full flush).
       @raise Invalid_argument if the window is too small. *)
 
-  val attach : backend -> t option
+  val attach : Pring.backend -> t option
   (** Re-attach to a previously formatted ring, e.g. in a recovered or
-      offline-inspected image.  Rebuilds the volatile head cursor as
-      [max (valid seq) + 1] — the cursor itself is deliberately never
-      flushed, its durable value would race the entries it counts.
-      [None] if the window does not hold a valid ring. *)
+      offline-inspected image, rebuilding the volatile head cursor (see
+      {!Pring.attach}).  [None] if the window does not hold a valid
+      ring. *)
 
   val capacity : t -> int
   (** Number of entry slots in the attached ring. *)
 
   val record : t -> kind:int -> ?a:int -> ?b:int -> ?c:int -> unit -> unit
-  (** Append one event: claim a slot ([fetch_add] on the head cursor),
-      compose the 8-word entry with its checksum, flush the entry line,
+  (** Append one event: {!Pring.append} the entry (one line flush),
       bump and flush the persistent per-kind counter, fence.  Exactly 2
       flushes and 1 fence per event — identical in [Pipelined] and
       [Synchronous] pmem modes — and exactly 0 of each while disabled.
@@ -670,11 +660,11 @@ module Prof : sig
     (** Window words needed for [capacity] entries (see
         {!Flight.words_for}). *)
 
-    val format : Flight.backend -> capacity:int -> t
+    val format : Pring.backend -> capacity:int -> t
     (** Initialize a fresh ring in the window; durability is the caller's
         concern.  @raise Invalid_argument if the window is too small. *)
 
-    val attach : Flight.backend -> t option
+    val attach : Pring.backend -> t option
     (** Re-attach to a formatted ring, rebuilding the head cursor;
         [None] if the window holds no valid ring. *)
 
@@ -720,12 +710,9 @@ module Prof : sig
 
   (** {2 Persistent site-name table}
 
-      A fixed-capacity array of one-line records indexed by site id,
+      A header line plus a {!Pring.Names} table indexed by site id,
       written durably the first time a site is sampled on a heap, so ring
-      entries resolve to names offline.  The length word is stored last
-      within the record's single line, so a spontaneous eviction that
-      persists the line mid-write reads back as an empty slot, never a
-      torn name. *)
+      entries resolve to names offline. *)
 
   module Ptab : sig
     type t
@@ -737,11 +724,11 @@ module Prof : sig
     val words_for : capacity:int -> int
     (** Window words needed for [capacity] site records. *)
 
-    val format : Flight.backend -> capacity:int -> t
+    val format : Pring.backend -> capacity:int -> t
     (** Initialize an empty table in the window; durability is the
         caller's concern.  @raise Invalid_argument if it does not fit. *)
 
-    val attach : Flight.backend -> t option
+    val attach : Pring.backend -> t option
     (** Re-attach to a formatted table; [None] if the window holds no
         valid one. *)
 
@@ -773,13 +760,13 @@ end
     tick count), so recovery needs no replay: [rstat --timeline] just
     re-attaches the rings and reads.
 
-    Same durability discipline as the {!Flight} recorder: records are
-    position-independent, value lines are stored before the checksummed
-    header line so torn records are detected and dropped at attach, head
-    cursors are volatile and rebuilt as max(valid seq) + 1, and each
-    tick costs a bounded number of flushes plus exactly one fence —
-    byte-identical in both pmem modes, and a true no-op while
-    disabled. *)
+    The window is a geometry header, a {!Pring.Names} table of series
+    names and three 4-line {!Pring}s, so the durability discipline is
+    the {!Flight} recorder's: records are position-independent, torn
+    records are detected and dropped at attach, head cursors are
+    volatile and rebuilt as max(valid seq) + 1, and each tick costs a
+    bounded number of flushes plus exactly one fence — byte-identical in
+    both pmem modes, and a true no-op while disabled. *)
 
 module Tsdb : sig
   val max_series : int
@@ -833,14 +820,14 @@ module Tsdb : sig
   type ring = [ `Fine | `Mid | `Coarse ]
   (** The three resolutions, finest first. *)
 
-  val format : Flight.backend -> t
+  val format : Pring.backend -> t
   (** Initialize a fresh black box in the window: magic, geometry
       descriptor, zeroed name table and ring slots.  Durability is the
       caller's concern (heap formatting ends in a full flush).
       @raise Invalid_argument if the window is smaller than
       {!words_for}. *)
 
-  val attach : Flight.backend -> t option
+  val attach : Pring.backend -> t option
   (** Re-attach to a previously formatted black box, e.g. in a
       recovered or offline-inspected image: rebuilds the volatile series
       table from the persisted names and every ring's head cursor from

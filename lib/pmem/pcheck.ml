@@ -33,8 +33,8 @@
      pre-crash store was never drained durable — the read returns stale
      data.  Reported once per torn line, attributed to the site of the
      lost store, and suppressed (but still tallied) for allowlisted
-     sites whose torn reads are by design (e.g. the flight recorder's
-     checksummed ring).
+     sites whose torn reads are by design (e.g. the checksummed
+     persistent rings, site [obs.pring]).
    - wasted flushes: a flush of a line with no dirty words (nothing to
      persist) or of a line already posted by this domain (the pipeline
      dedups it) — the paper's direct "optimize persistence" metric.

@@ -784,61 +784,59 @@ let close_file t =
     Unix.close fd;
     t.backing <- None
 
-(* The flight recorder lives in lib/obs, below this library in the
-   dependency order, so it reaches its reserved NVM window through this
-   record of closures: loads/stores/fetch_adds on window-relative word
-   indices, flush and fence routed through the write-combining pipeline
-   like any other persistence traffic (and therefore counted, charged,
-   crash-simulated and written through to the backing file like any
-   other). *)
-(* Flight traffic is attributed to its own checker site, allowlisted for
-   durability violations: the ring's entries are checksummed and attach
-   tolerates torn lines by design, and the head cursor is deliberately
-   never flushed (attach rebuilds and rewrites it before any record can
-   read it). *)
-let flight_site =
-  Pcheck.allow "obs.flight"
-    ~reason:"ring entries are checksummed; torn reads are by design"
+(* The persistent rings (Obs.Pring: flight recorder, provenance ring,
+   site table, metrics black box) live in lib/obs, below this library in
+   the dependency order, so they reach their reserved NVM windows through
+   this record of closures: loads/stores/fetch_adds on window-relative
+   word indices, flush and fence routed through the write-combining
+   pipeline like any other persistence traffic (and therefore counted,
+   charged, crash-simulated and written through to the backing file like
+   any other).  Ring traffic is attributed to its own checker site,
+   allowlisted for durability violations: records are checksummed and
+   attach reads (and discards) torn records by design. *)
+let ring_site =
+  Pcheck.allow "obs.pring"
+    ~reason:"ring records are checksummed; torn reads are by design"
 
-let flight_backend t ~first_word ~words =
+let window t ~first_word ~words =
   if first_word < 0 || words < 0 || first_word + words > t.nwords then
     invalid_arg
       (Printf.sprintf
-         "Pmem(%s).flight_backend: window [%d,%d) exceeds region of %d words"
+         "Pmem(%s).window: [%d,%d) exceeds region of %d words"
          t.region_name first_word (first_word + words) t.nwords);
   if first_word mod words_per_line <> 0 then
     invalid_arg
       (Printf.sprintf
-         "Pmem(%s).flight_backend: window start %d is not line-aligned"
+         "Pmem(%s).window: start %d is not line-aligned"
          t.region_name first_word);
   let abs w =
     if w < 0 || w >= words then
       invalid_arg
-        (Printf.sprintf "Pmem(%s): flight window index %d out of [0,%d)"
+        (Printf.sprintf "Pmem(%s): window index %d out of [0,%d)"
            t.region_name w words);
     first_word + w
   in
   {
-    Obs.Flight.words;
+    Obs.Pring.words;
     load =
       (fun w ->
-        Pcheck.set_site flight_site;
+        Pcheck.set_site ring_site;
         load t (abs w));
     store =
       (fun w v ->
-        Pcheck.set_site flight_site;
+        Pcheck.set_site ring_site;
         store t (abs w) v);
     fetch_add =
       (fun w d ->
-        Pcheck.set_site flight_site;
+        Pcheck.set_site ring_site;
         fetch_add t (abs w) d);
     flush =
       (fun w ->
-        Pcheck.set_site flight_site;
+        Pcheck.set_site ring_site;
         flush t (abs w));
     fence =
       (fun () ->
-        Pcheck.set_site flight_site;
+        Pcheck.set_site ring_site;
         fence t);
   }
 

@@ -222,15 +222,17 @@ val load_image : path:string -> t
     read-only and closed before returning.
     @raise Failure if the file is missing or not a pmem image. *)
 
-val flight_backend : t -> first_word:int -> words:int -> Obs.Flight.backend
-(** [flight_backend t ~first_word ~words] exposes the word window
+val window : t -> first_word:int -> words:int -> Obs.Pring.backend
+(** [window t ~first_word ~words] exposes the word window
     [first_word, first_word + words) of the region as an
-    {!Obs.Flight.backend} — the reserved-region carve-out the persistent
-    flight recorder writes through.  Indices passed to the backend are
-    window-relative and bounds-checked; flush and fence go through the
-    normal persistence pipeline, so flight-recorder traffic is counted,
+    {!Obs.Pring.backend} — the reserved-region carve-out every
+    persistent ring (flight recorder, provenance ring, site table,
+    metrics black box) writes through.  Indices passed to the backend
+    are window-relative and bounds-checked; flush and fence go through
+    the normal persistence pipeline, so ring traffic is counted,
     latency-charged, crash-simulated and written through to any backing
-    file like the allocator's own.
+    file like the allocator's own.  It is attributed to the allowlisted
+    pcheck site [obs.pring].
     @raise Invalid_argument if the window is out of bounds or
     [first_word] is not cache-line aligned. *)
 

@@ -10,11 +10,13 @@ let meta_layout_version = 4
 let meta_free_list_head = 8
 
 (* Bumped whenever the metadata word layout changes incompatibly (a new
-   carve-out moves [meta_words], a field moves).  v2 = the provenance
-   ring + site table carve-outs; v3 = the metrics time-series black
-   box; images formatted before the version word existed read 0 here.
-   Attach must refuse a mismatch rather than misread offsets. *)
-let layout_version = 3
+   carve-out moves [meta_words], a field or record format moves).
+   v2 = the provenance ring + site table carve-outs; v3 = the metrics
+   time-series black box; v4 = one Obs.Pring record format (checksum in
+   the last word) for every ring; images formatted before the version
+   word existed read 0 here.  Attach must refuse a mismatch rather than
+   misread offsets. *)
+let layout_version = 4
 let roots_base = 16
 
 let meta_root i =

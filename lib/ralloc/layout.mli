@@ -46,10 +46,12 @@ val meta_layout_version : int
     with.  Images formatted before the word existed read 0. *)
 
 val layout_version : int
-(** The layout version this build writes and requires (3: the metrics
-    time-series black box carve-out; 2 was the provenance-ring and
-    site-table carve-outs).  Attach refuses images stamped with any
-    other version instead of misreading offsets. *)
+(** The layout version this build writes and requires (4: every ring
+    in the carve-outs is an {!Obs.Pring}, with one record format and
+    one checksum; 3 added the metrics time-series black box carve-out;
+    2 the provenance-ring and site-table carve-outs).  Attach refuses
+    images stamped with any other version instead of misreading
+    offsets. *)
 
 val meta_free_list_head : int
 (** Word holding the counted head of the superblock free list. *)

@@ -30,20 +30,18 @@ type t = {
   use_tcache : bool;
   filters : filter option array;
   heap_name : string;
-  flight : Obs.Flight.t option;
-      (* the persistent flight recorder in the metadata region's reserved
-         window; None only for images formatted before the window existed *)
+  (* The persistent rings in the metadata region's reserved tail
+     windows.  The layout-version guard refuses images that predate any
+     of them, so each is None only if its window header is corrupt. *)
+  flight : Obs.Flight.t option; (* the flight recorder *)
   prov : Obs.Prof.Ring.t option;
-      (* the persistent provenance ring (sampled allocations and their
-         frees) right after the flight window; None for pre-v2 images *)
+      (* the provenance ring: sampled allocations and their frees *)
   ptab : Obs.Prof.Ptab.t option;
       (* persistent interned site-name table resolving the ring's ids *)
   ptab_persisted : Bytes.t;
       (* one byte per persistable site id: nonzero once this handle wrote
          the name to [ptab].  Racy duplicate persists are idempotent. *)
-  tsdb : Obs.Tsdb.t option;
-      (* the metrics time-series black box at the metadata tail; None
-         for pre-v3 images *)
+  tsdb : Obs.Tsdb.t option; (* the metrics time-series black box *)
   hid : int; (* cached meta_heap_id; keys provenance samples per heap *)
   mutable closed : bool;
 }
@@ -138,27 +136,25 @@ let check_open t =
   if t.closed then invalid_arg "Ralloc: heap handle has been closed"
 
 (* ------------------------------------------------------------------ *)
-(* Flight recorder plumbing                                           *)
+(* Persistent-ring plumbing                                           *)
 (*                                                                    *)
-(* The persistent event ring lives in the metadata region's reserved  *)
-(* tail window (Layout.flight_base/words) through the abstract        *)
-(* Obs.Flight backend; see lib/obs.  Recording is gated on            *)
-(* Obs.Flight.enabled at every hook so the hot paths pay one flag     *)
-(* read when forensics are off.                                       *)
+(* The flight recorder, provenance ring, site-name table and metrics  *)
+(* black box live in reserved, line-aligned windows of the metadata   *)
+(* region's tail (Layout.flight_base etc.), reached through the       *)
+(* abstract Obs.Pring backend so the carve-outs can never drift from  *)
+(* the writers; see lib/obs.  Recording is gated on the recorder's    *)
+(* flag at every hook so the hot paths pay one flag read when         *)
+(* forensics are off.                                                 *)
 (* ------------------------------------------------------------------ *)
 
 module FK = Obs.Flight.Kind
 
-let flight_window meta =
-  Pmem.flight_backend meta ~first_word:Layout.flight_base
-    ~words:Layout.flight_words
-
 (* A persist:false heap (the LRMalloc baseline) must stay flush-free even
-   with the recorder on; its events are volatile like the rest of it. *)
-let flight_backend_of ~persist meta =
-  let b = flight_window meta in
+   with the recorders on; its rings are volatile like the rest of it. *)
+let window ?(persist = true) meta ~base ~words =
+  let b = Pmem.window meta ~first_word:base ~words in
   if persist then b
-  else { b with Obs.Flight.flush = (fun _ -> ()); fence = (fun () -> ()) }
+  else { b with Obs.Pring.flush = (fun _ -> ()); fence = (fun () -> ()) }
 
 let flight t = t.flight
 
@@ -168,49 +164,9 @@ let flight_record t ~kind ?(a = 0) ?(b = 0) ?(c = 0) () =
     | Some f -> Obs.Flight.record f ~kind ~a ~b ~c ()
     | None -> ()
 
-(* ------------------------------------------------------------------ *)
-(* Heap-provenance profiler plumbing                                  *)
-(*                                                                    *)
-(* The provenance ring and site-name table share the flight window's  *)
-(* carve-out discipline: reserved, line-aligned tail windows accessed *)
-(* through the abstract Obs.Flight backend so the carve-outs can      *)
-(* never drift from the writers (Layout.prov_base / ptab_base).       *)
-(* ------------------------------------------------------------------ *)
-
-let prov_window meta =
-  Pmem.flight_backend meta ~first_word:Layout.prov_base
-    ~words:Layout.prov_words
-
-let ptab_window meta =
-  Pmem.flight_backend meta ~first_word:Layout.ptab_base
-    ~words:Layout.ptab_words
-
-(* Same rule as the flight ring: a persist:false heap stays flush-free
-   even when the profiler is on. *)
-let prov_backend_of ~persist meta =
-  let b = prov_window meta in
-  if persist then b
-  else { b with Obs.Flight.flush = (fun _ -> ()); fence = (fun () -> ()) }
-
-let ptab_backend_of ~persist meta =
-  let b = ptab_window meta in
-  if persist then b
-  else { b with Obs.Flight.flush = (fun _ -> ()); fence = (fun () -> ()) }
-
 let prov t = t.prov
 let prov_site_name t id =
   match t.ptab with Some tab -> Obs.Prof.Ptab.name tab id | None -> None
-
-(* The metrics black box at the metadata tail (Layout.tsdb_base), same
-   carve-out discipline again. *)
-let tsdb_window meta =
-  Pmem.flight_backend meta ~first_word:Layout.tsdb_base
-    ~words:Layout.tsdb_words
-
-let tsdb_backend_of ~persist meta =
-  let b = tsdb_window meta in
-  if persist then b
-  else { b with Obs.Flight.flush = (fun _ -> ()); fence = (fun () -> ()) }
 
 let tsdb t = t.tsdb
 
@@ -1066,27 +1022,18 @@ let make_handle ?(persist = true) ?sb_base ?(expansion_sbs = 16)
     ?(tcache = true) ~path ~name ~meta ~desc ~sb () =
   let heap_bytes = Pmem.load sb Layout.sb_size_word in
   let nsb = (heap_bytes / Layout.superblock_bytes) - 1 in
+  let window = window ~persist meta in
   let flight =
-    (* images formatted before the carve-out existed have a short
-       metadata region — no ring to attach *)
-    if Pmem.size_words meta >= Layout.flight_base + Layout.flight_words then
-      Obs.Flight.attach (flight_backend_of ~persist meta)
-    else None
+    Obs.Flight.attach (window ~base:Layout.flight_base ~words:Layout.flight_words)
   in
   let prov =
-    if Pmem.size_words meta >= Layout.prov_base + Layout.prov_words then
-      Obs.Prof.Ring.attach (prov_backend_of ~persist meta)
-    else None
+    Obs.Prof.Ring.attach (window ~base:Layout.prov_base ~words:Layout.prov_words)
   in
   let ptab =
-    if Pmem.size_words meta >= Layout.ptab_base + Layout.ptab_words then
-      Obs.Prof.Ptab.attach (ptab_backend_of ~persist meta)
-    else None
+    Obs.Prof.Ptab.attach (window ~base:Layout.ptab_base ~words:Layout.ptab_words)
   in
   let tsdb =
-    if Pmem.size_words meta >= Layout.tsdb_base + Layout.tsdb_words then
-      Obs.Tsdb.attach (tsdb_backend_of ~persist meta)
-    else None
+    Obs.Tsdb.attach (window ~base:Layout.tsdb_base ~words:Layout.tsdb_words)
   in
   let t =
     {
@@ -1157,11 +1104,20 @@ let format_heap ?heap_id meta sb sb_bytes =
   done;
   Pmem.store meta Layout.meta_layout_version Layout.layout_version;
   Pmem.store meta Layout.meta_dirty 1;
+  let window = window meta in
   ignore
-    (Obs.Flight.format (flight_window meta) ~capacity:Layout.flight_capacity);
-  ignore (Obs.Prof.Ring.format (prov_window meta) ~capacity:Layout.prov_capacity);
-  ignore (Obs.Prof.Ptab.format (ptab_window meta) ~capacity:Layout.ptab_capacity);
-  ignore (Obs.Tsdb.format (tsdb_window meta));
+    (Obs.Flight.format
+       (window ~base:Layout.flight_base ~words:Layout.flight_words)
+       ~capacity:Layout.flight_capacity);
+  ignore
+    (Obs.Prof.Ring.format
+       (window ~base:Layout.prov_base ~words:Layout.prov_words)
+       ~capacity:Layout.prov_capacity);
+  ignore
+    (Obs.Prof.Ptab.format
+       (window ~base:Layout.ptab_base ~words:Layout.ptab_words)
+       ~capacity:Layout.ptab_capacity);
+  ignore (Obs.Tsdb.format (window ~base:Layout.tsdb_base ~words:Layout.tsdb_words));
   Pmem.flush_all meta;
   Pmem.flush_all sb
 

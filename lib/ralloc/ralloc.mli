@@ -299,8 +299,8 @@ val valid_block : t -> int -> bool
     survive a crash inside the heap image. *)
 
 val flight : t -> Obs.Flight.t option
-(** The heap's attached flight recorder.  [None] only for images
-    formatted before the reserved window existed. *)
+(** The heap's attached flight recorder.  [None] only if the window's
+    header is corrupt (older layouts are refused at open). *)
 
 val flight_record : t -> kind:int -> ?a:int -> ?b:int -> ?c:int -> unit -> unit
 (** Record one event in the heap's flight ring (no-op while the recorder
@@ -318,8 +318,8 @@ val flight_record : t -> kind:int -> ?a:int -> ?b:int -> ?c:int -> unit -> unit
     which site allocated the blocks that survived a crash. *)
 
 val prov : t -> Obs.Prof.Ring.t option
-(** The heap's attached provenance ring.  [None] only for images
-    formatted before the layout-v2 carve-out existed. *)
+(** The heap's attached provenance ring.  [None] only if the window's
+    header is corrupt. *)
 
 val prov_site_name : t -> int -> string option
 (** Resolve a provenance-ring site id against the heap's persistent
@@ -328,7 +328,7 @@ val prov_site_name : t -> int -> string option
 
 (** {1 Metrics black box}
 
-    The last carve-out of the metadata region (layout v3) is a
+    The last carve-out of the metadata region is a
     crash-surviving time-series recorder ({!Obs.Tsdb}): three
     multi-resolution sample rings a sampler thread writes checksummed,
     fenced records into, so an offline inspector ([rstat --timeline])
@@ -336,8 +336,8 @@ val prov_site_name : t -> int -> string option
     and friends from a dirty image. *)
 
 val tsdb : t -> Obs.Tsdb.t option
-(** The heap's attached metrics black box.  [None] only for images
-    formatted before the layout-v3 carve-out existed.  Writes go through
+(** The heap's attached metrics black box.  [None] only if the window's
+    header is corrupt or its geometry differs.  Writes go through
     the region's normal persistence pipeline except on [persist:false]
     heaps, where flush and fence are nulled (sampling a baseline heap
     must not add persistence traffic the allocator itself would not). *)

@@ -7,10 +7,13 @@
      within sampling-noise tolerance of a census;
    - inertness when off: no samples, no provenance entries, and
      OBS_DISABLED=1 must override set_enabled;
-   - the persistent provenance ring and site-name table, which inherit
-     the flight recorder's entry protocol and therefore its crash
-     contract: fenced entries survive any crash, torn tails are detected
-     and skipped, and a sampled free durably cancels its sampled alloc. *)
+   - the persistent provenance ring and site-name table, views over
+     Obs.Pring whose crash contract (fenced entries survive any crash,
+     torn tails and torn names are detected) test_pring.ml covers; here
+     every sample is durable when the view's record returns, a sampled
+     free must durably cancel its sampled alloc, names must round-trip
+     with truncation and range checks, and a torn name read through the
+     table's header offset reads empty. *)
 
 module Prof = Obs.Prof
 
@@ -128,7 +131,7 @@ let with_ring ?(capacity = 16) f =
   Pmem.set_latency ~flush_ns:0 ~fence_ns:0 ();
   let words = Prof.Ring.words_for ~capacity in
   let r = Pmem.create ~size_bytes:(words * 8) () in
-  let b = Pmem.flight_backend r ~first_word:0 ~words in
+  let b = Pmem.window r ~first_word:0 ~words in
   let t = Prof.Ring.format b ~capacity in
   Pmem.flush_all r;
   Pmem.fence r;
@@ -139,9 +142,10 @@ let reattach b =
   | Some t -> t
   | None -> Alcotest.fail "attach refused a valid provenance ring"
 
-(* Every recorded sample is durable when record_alloc returns, whatever
-   the eviction weather: after any crash the newest min(n, capacity)
-   entries are all present with exact payloads. *)
+(* The view owns the fence: every recorded sample is durable when
+   record_alloc returns, whatever the eviction weather — after any crash
+   the newest min(n, capacity) entries are all present with exact
+   payloads, and the alloc counter agrees. *)
 let prop_fenced_entries_survive =
   QCheck2.Test.make ~name:"prov: fenced entries survive any crash" ~count:40
     QCheck2.Gen.(
@@ -170,40 +174,6 @@ let prop_fenced_entries_survive =
                (fun (site, size, off) (e : Prof.Ring.entry) ->
                  e.is_alloc && e.psite = site && e.psize = size && e.poff = off)
                expect got))
-
-(* A torn tail entry — written without its checksum holding — is skipped
-   and never misparsed as a sample. *)
-let prop_torn_tail_detected =
-  QCheck2.Test.make ~name:"prov: torn tail entry detected, never misparsed"
-    ~count:60
-    QCheck2.Gen.(
-      pair (int_range 1 20)
-        (list_size (int_range 1 6) (pair (int_bound 6) (int_bound 1_000_000))))
-    (fun (n_good, torn_words) ->
-      let capacity = 32 in
-      with_ring ~capacity (fun r b t ->
-          for i = 1 to n_good do
-            Prof.Ring.record_alloc t ~site:i ~size:64 ~off:(i * 64)
-          done;
-          (* partial composition of entry n_good+1: some words land, the
-             checksum word stays zero *)
-          let header_words = 24 and entry_words = 8 in
-          let w = header_words + (n_good mod capacity * entry_words) in
-          b.Obs.Flight.store w (n_good + 1);
-          List.iter
-            (fun (off, v) ->
-              if off >= 1 && off <= 5 then b.Obs.Flight.store (w + off) v)
-            torn_words;
-          b.Obs.Flight.store (w + 6) 0;
-          b.Obs.Flight.flush w;
-          b.Obs.Flight.fence ();
-          Pmem.crash r;
-          let t' = reattach b in
-          let got = Prof.Ring.entries t' in
-          List.length got = n_good
-          && (not (List.exists (fun (e : Prof.Ring.entry) -> e.pseq = n_good + 1) got))
-          && Prof.Ring.torn_slots t' = 1
-          && Prof.Ring.total_recorded t' = n_good))
 
 (* Replaying the surviving window must cancel each sampled alloc against
    a later sampled free of the same offset: [live] is exactly the
@@ -243,7 +213,7 @@ let with_ptab ?(capacity = 8) f =
   Pmem.set_latency ~flush_ns:0 ~fence_ns:0 ();
   let words = Prof.Ptab.words_for ~capacity in
   let r = Pmem.create ~size_bytes:(words * 8) () in
-  let b = Pmem.flight_backend r ~first_word:0 ~words in
+  let b = Pmem.window r ~first_word:0 ~words in
   let t = Prof.Ptab.format b ~capacity in
   Pmem.flush_all r;
   Pmem.fence r;
@@ -274,11 +244,12 @@ let test_ptab_roundtrip () =
 let test_ptab_torn_write_reads_empty () =
   with_ptab (fun r b t ->
       (* payload words land but the length word (written last) does not:
-         the slot must read as empty, not as a garbage name *)
+         the slot must read as empty, not as a garbage name; the table
+         sits one header line into the window *)
       let w0 = 8 + (2 * 8) in
-      b.Obs.Flight.store (w0 + 1) 0x41414141;
-      b.Obs.Flight.flush (w0 + 1);
-      b.Obs.Flight.fence ();
+      b.Obs.Pring.store (w0 + 1) 0x41414141;
+      b.Obs.Pring.flush (w0 + 1);
+      b.Obs.Pring.fence ();
       Pmem.crash r;
       ignore t;
       match Prof.Ptab.attach b with
@@ -340,7 +311,9 @@ let test_crash_attribution () =
       Ralloc.close heap')
 
 (* The layout-version guard: an image stamped with a foreign version must
-   be refused with a readable error, not misread. *)
+   be refused with a readable error, not misread — both an arbitrary
+   future version and the real previous one, v3, whose rings used the
+   pre-Pring record formats. *)
 let test_layout_version_guard () =
   let dir = Filename.temp_file "prof_ver" "" in
   Sys.remove dir;
@@ -349,33 +322,39 @@ let test_layout_version_guard () =
   let heap, status = Ralloc.init ~path ~size:(4 * mb) () in
   Alcotest.(check bool) "fresh" true (status = Ralloc.Fresh);
   Ralloc.close heap;
-  (* doctor the version word in the saved meta image *)
   let meta_path = path ^ ".meta" in
-  let ic = open_in_bin meta_path in
-  let len = in_channel_length ic in
-  let bytes = really_input_string ic len in
-  close_in ic;
-  let b = Bytes.of_string bytes in
-  (* pmem images carry a 4096 B header before the raw words *)
-  Bytes.set_int64_le b (4096 + (Ralloc.Layout.meta_layout_version * 8)) 99L;
-  let oc = open_out_bin meta_path in
-  output_bytes oc b;
-  close_out oc;
-  (match Ralloc.init ~path ~size:(4 * mb) () with
-  | _ -> Alcotest.fail "init accepted a foreign layout version"
-  | exception Failure msg ->
-    Alcotest.(check bool)
-      (Printf.sprintf "error names both versions: %s" msg)
-      true
-      (let has s sub =
-         let n = String.length s and m = String.length sub in
-         let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-         go 0
-       in
-       has msg "layout v99" && has msg "expected v3"));
-  (match Ralloc.open_image ~path with
-  | _ -> Alcotest.fail "open_image accepted a foreign layout version"
-  | exception Failure _ -> ());
+  let has s sub =
+    let n = String.length s and m = String.length sub in
+    let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+    go 0
+  in
+  List.iter
+    (fun v ->
+      (* doctor the version word in the saved meta image *)
+      let ic = open_in_bin meta_path in
+      let b = Bytes.of_string (really_input_string ic (in_channel_length ic)) in
+      close_in ic;
+      (* pmem images carry a 4096 B header before the raw words *)
+      Bytes.set_int64_le b
+        (4096 + (Ralloc.Layout.meta_layout_version * 8))
+        (Int64.of_int v);
+      let oc = open_out_bin meta_path in
+      output_bytes oc b;
+      close_out oc;
+      let expect = Printf.sprintf "heap built by layout v%d, expected v4" v in
+      (match Ralloc.init ~path ~size:(4 * mb) () with
+      | _ -> Alcotest.failf "init accepted layout v%d" v
+      | exception Failure msg ->
+        Alcotest.(check bool)
+          (Printf.sprintf "error names both versions: %s" msg)
+          true (has msg expect));
+      match Ralloc.open_image ~path with
+      | _ -> Alcotest.failf "open_image accepted layout v%d" v
+      | exception Failure msg ->
+        Alcotest.(check bool)
+          (Printf.sprintf "open_image names both versions: %s" msg)
+          true (has msg expect))
+    [ 99; 3 ];
   Array.iter
     (fun f -> Sys.remove (Filename.concat dir f))
     (Sys.readdir dir);
@@ -396,7 +375,6 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [
             prop_fenced_entries_survive;
-            prop_torn_tail_detected;
             prop_free_cancels_alloc;
           ] );
       ( "site table",

@@ -1,17 +1,16 @@
-(* Metrics black box (Obs.Tsdb): crash durability of the persistent
-   time-series rings.
+(* Metrics black box (Obs.Tsdb): the typed view over three 4-line
+   Obs.Pring rings plus a Pring.Names series table.
 
-   The recorder's contract (lib/obs, backed by Pmem.flight_backend):
+   The rings' crash contract (fenced records survive, torn records are
+   detected and dropped, seq stays monotonic through the head rebuild,
+   zero pcheck violations) is covered by test_pring.ml.  This suite
+   checks what the view adds:
    - a fine sample is durable the moment [sample] returns (all four
-     record lines flushed, one fence issued), so after any later crash
-     it is in [points];
+     record lines flushed, one fence issued), and series names survive
+     with it — checked as a crash sweep under the persistency checker;
    - write-time downsampling is exact: every closed mid (10-tick) and
      coarse (60-tick) bucket stores the SUM and count of its window, so
      sums and means are conserved across resolutions;
-   - a record whose lines reached the medium mid-composition is detected
-     by its checksum and skipped — never misparsed as a sample;
-   - the volatile per-ring head cursors are rebuilt at [attach] as
-     max(seq)+1, so sequence numbers stay monotonic across crashes;
    - disabled (flag or OBS_DISABLED), the sampler evaluates nothing and
      writes nothing. *)
 
@@ -20,7 +19,7 @@ let with_db f =
   Obs.Tsdb.set_enabled true;
   let words = Obs.Tsdb.words_for () in
   let r = Pmem.create ~size_bytes:(words * 8) () in
-  let b = Pmem.flight_backend r ~first_word:0 ~words in
+  let b = Pmem.window r ~first_word:0 ~words in
   let t = Obs.Tsdb.format b in
   Pmem.flush_all r;
   Pmem.fence r;
@@ -57,6 +56,7 @@ let test_roundtrip () =
         (Obs.Tsdb.series_name t' 1);
       Alcotest.(check int) "sample cursor rebuilt" 7
         (Obs.Tsdb.total_samples t');
+      Alcotest.(check int) "no torn records" 0 (Obs.Tsdb.torn_slots t');
       let pts = Obs.Tsdb.points t' `Fine in
       Alcotest.(check int) "all seven samples" 7 (List.length pts);
       List.iteri
@@ -132,7 +132,7 @@ let test_attach_rejects_garbage () =
   Pmem.set_latency ~flush_ns:0 ~fence_ns:0 ();
   let words = Obs.Tsdb.words_for () in
   let r = Pmem.create ~size_bytes:(words * 8) () in
-  let b = Pmem.flight_backend r ~first_word:0 ~words in
+  let b = Pmem.window r ~first_word:0 ~words in
   Alcotest.(check bool) "zeroed window" true (Obs.Tsdb.attach b = None);
   Pmem.store r 0 12345;
   Alcotest.(check bool) "bad magic" true (Obs.Tsdb.attach b = None)
@@ -155,7 +155,7 @@ let prop_downsampling_conserves_sums =
         (fun () ->
           let words = Obs.Tsdb.words_for () in
           let r = Pmem.create ~size_bytes:(words * 8) () in
-          let b = Pmem.flight_backend r ~first_word:0 ~words in
+          let b = Pmem.window r ~first_word:0 ~words in
           let t = Obs.Tsdb.format b in
           Pmem.flush_all r;
           Pmem.fence r;
@@ -195,73 +195,12 @@ let prop_downsampling_conserves_sums =
             List.length (Obs.Tsdb.points t' `Fine) = n
             && ring_ok `Mid 10 && ring_ok `Coarse 60))
 
-(* A torn tail record — header composed, checksum never durable — is
-   skipped at attach, never misparsed, and recording continues over it. *)
-let prop_torn_tail_dropped =
-  QCheck2.Test.make ~name:"tsdb: torn tail record dropped, never misparsed"
-    ~count:40
-    QCheck2.Gen.(
-      pair (int_range 1 30)
-        (list_size (int_range 1 5) (pair (int_bound 30) (int_bound 1_000_000))))
-    (fun (n_good, torn_words) ->
-      Pmem.set_latency ~flush_ns:0 ~fence_ns:0 ();
-      Obs.Tsdb.set_enabled true;
-      Fun.protect
-        ~finally:(fun () -> Obs.Tsdb.set_enabled false)
-        (fun () ->
-          let words = Obs.Tsdb.words_for () in
-          let r = Pmem.create ~size_bytes:(words * 8) () in
-          let b = Pmem.flight_backend r ~first_word:0 ~words in
-          let t = Obs.Tsdb.format b in
-          Pmem.flush_all r;
-          Pmem.fence r;
-          ignore (Obs.Tsdb.declare t "s0");
-          for k = 1 to n_good do
-            Obs.Tsdb.sample t ~ts_ns:k [| k |]
-          done;
-          (* partial composition of fine record n_good+1: the header seq
-             and some payload words land, the checksum word stays zero (a
-             real [sample] computes it last, and zero never matches) *)
-          let fine_base = 8 + (24 * 8) and record_words = 32 in
-          let w = fine_base + (n_good * record_words) in
-          b.Obs.Flight.store w (n_good + 1);
-          List.iter
-            (fun (off, v) ->
-              if off >= 1 && off <= record_words - 1 && off <> 7 then
-                b.Obs.Flight.store (w + off) v)
-            torn_words;
-          b.Obs.Flight.store (w + 7) 0;
-          b.Obs.Flight.flush w;
-          b.Obs.Flight.fence ();
-          Pmem.crash r;
-          match Obs.Tsdb.attach b with
-          | None -> false
-          | Some t' ->
-            let seqs =
-              List.map
-                (fun (p : Obs.Tsdb.point) -> p.p_seq)
-                (Obs.Tsdb.points t' `Fine)
-            in
-            List.length seqs = n_good
-            && (not (List.mem (n_good + 1) seqs))
-            && Obs.Tsdb.torn_slots t' = 1
-            (* cursor rebuilt past the torn seq: the next sample
-               overwrites the tear rather than colliding behind it *)
-            &&
-            (Obs.Tsdb.sample t' ~ts_ns:99 [| 99 |];
-             let seqs' =
-               List.map
-                 (fun (p : Obs.Tsdb.point) -> p.p_seq)
-                 (Obs.Tsdb.points t' `Fine)
-             in
-             Obs.Tsdb.torn_slots t' = 0
-             && List.length seqs' = n_good + 1
-             && List.mem (n_good + 1) seqs')))
-
-(* Crash-point sweep under the persistency checker: whatever the eviction
-   weather and wherever the crash lands, attach reads only checksummed
-   records and the checker observes zero (non-allowlisted) durability
-   violations — every fenced sample survives with its exact payload. *)
+(* The view owns the fence: one per [sample], covering every ring it
+   appended to.  Crash-point sweep under the persistency checker: whatever
+   the eviction weather and wherever the crash lands, attach reads only
+   checksummed records and the checker observes zero (non-allowlisted)
+   durability violations — every fenced sample survives with its exact
+   payload. *)
 let prop_crash_sweep_checked =
   QCheck2.Test.make ~name:"tsdb: crash sweep under pcheck, zero violations"
     ~count:30
@@ -278,7 +217,7 @@ let prop_crash_sweep_checked =
         (fun () ->
           let words = Obs.Tsdb.words_for () in
           let r = Pmem.create ~size_bytes:(words * 8) () in
-          let b = Pmem.flight_backend r ~first_word:0 ~words in
+          let b = Pmem.window r ~first_word:0 ~words in
           let t = Obs.Tsdb.format b in
           Pmem.flush_all r;
           Pmem.fence r;
@@ -321,7 +260,6 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [
             prop_downsampling_conserves_sums;
-            prop_torn_tail_dropped;
             prop_crash_sweep_checked;
           ] );
     ]
