@@ -10,9 +10,9 @@
      rstat --timeline <path>      pre-crash metrics timeline from the black box
      rstat --pcheck-summary <path> trial recovery under the persistency checker
 
-   Unlike [rheap], rstat never opens the heap for writing: the image files
-   are read into memory ([Ralloc.open_image]) and nothing is written back,
-   so a post-crash image can be inspected — including a trial recovery —
+   rstat never opens the heap for writing: the image files are read into
+   memory ([Ralloc.open_image]) and nothing is written back, so a
+   post-crash image can be inspected — including a trial recovery —
    without disturbing the evidence.
 
    Audit verdicts (exit codes):

@@ -193,7 +193,13 @@ let rec insert_raw t key value =
     let child_addr = child_word t parent key in
     let existing = sr.leaf in
     let new_leaf = alloc_node t key value in
-    let internal = alloc_node t (max key leaf_key) 0 in
+    let internal =
+      try alloc_node t (max key leaf_key) 0
+      with Failure _ as e ->
+        (* nothing is published yet: do not strand the leaf *)
+        Ralloc.free t.heap new_leaf;
+        raise e
+    in
     let lchild, rchild =
       if key < leaf_key then (new_leaf, existing) else (existing, new_leaf)
     in

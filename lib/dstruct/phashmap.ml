@@ -175,9 +175,24 @@ let set t key value =
   let node = Ralloc.malloc t.heap node_bytes in
   if node = 0 then failwith "Phashmap: out of memory";
   Ralloc.store t.heap (node + 8) h;
-  Ralloc.write_ptr t.heap ~at:(node + 16) ~target:(alloc_string t key);
+  (* nothing is published until the bucket CAS: on exhaustion, free what
+     this call already took rather than strand it until the next GC *)
+  let key_va =
+    try alloc_string t key
+    with Failure _ as e ->
+      Ralloc.free t.heap node;
+      raise e
+  in
+  Ralloc.write_ptr t.heap ~at:(node + 16) ~target:key_va;
   Ralloc.store t.heap (node + 24) (String.length key);
-  Ralloc.write_ptr t.heap ~at:(node + 32) ~target:(alloc_string t value);
+  let value_va =
+    try alloc_string t value
+    with Failure _ as e ->
+      Ralloc.free t.heap key_va;
+      Ralloc.free t.heap node;
+      raise e
+  in
+  Ralloc.write_ptr t.heap ~at:(node + 32) ~target:value_va;
   Ralloc.store t.heap (node + 40) (String.length value);
   let rec insert () =
     let w = Ralloc.load t.heap bucket in

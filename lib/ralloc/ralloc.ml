@@ -1872,26 +1872,6 @@ let audit ?(max_list = 64) t =
 (* ------------------------------------------------------------------ *)
 
 module Debug = struct
-  type class_report = {
-    size_class : int;
-    block_size : int;
-    superblocks : int;
-    full : int;
-    partial : int;
-    free_blocks : int;
-    allocated_blocks : int;
-  }
-
-  type report = {
-    provisioned_superblocks : int;
-    empty_superblocks : int;
-    large_superblocks : int;
-    total_allocated_blocks : int;
-    total_free_blocks : int;
-    classes : class_report list;
-    dirty : bool;
-  }
-
   (* Every block address held by the CALLING domain's caches: the LIFO
      arrays, the owned chains (walked through their link words) and the
      owned runs.  Test oracle for the lazy-adoption invariant — these
@@ -1918,52 +1898,6 @@ module Debug = struct
       done
     done;
     !acc
-
-  (* Projection of the fuller [census] walk (quiescent use only), kept
-     for the pre-census callers (tests, rheap fsck). *)
-  let report t =
-    let cen = census t in
-    let classes =
-      List.map
-        (fun (r : Census.class_stats) ->
-          {
-            size_class = r.size_class;
-            block_size = r.block_size;
-            superblocks = r.superblocks;
-            full = r.full;
-            partial = r.partial;
-            free_blocks = r.free_blocks;
-            allocated_blocks = r.allocated_blocks;
-          })
-        cen.Census.classes
-    in
-    {
-      provisioned_superblocks = cen.Census.provisioned_superblocks;
-      empty_superblocks = cen.Census.empty_superblocks;
-      large_superblocks = cen.Census.large_superblocks;
-      total_allocated_blocks =
-        List.fold_left (fun acc r -> acc + r.allocated_blocks) 0 classes;
-      total_free_blocks =
-        List.fold_left (fun acc r -> acc + r.free_blocks) 0 classes;
-      classes;
-      dirty = cen.Census.dirty;
-    }
-
-  let pp_report ppf r =
-    Format.fprintf ppf
-      "heap: %d superblocks provisioned (%d empty, %d in large blocks),        dirty=%b@
-%d blocks allocated, %d free on superblock lists@
-"
-      r.provisioned_superblocks r.empty_superblocks r.large_superblocks
-      r.dirty r.total_allocated_blocks r.total_free_blocks;
-    List.iter
-      (fun c ->
-        Format.fprintf ppf
-          "  class %2d (%5d B): %3d sbs (%d full, %d partial)  alloc=%d            free=%d@
-"
-          c.size_class c.block_size c.superblocks c.full c.partial
-          c.allocated_blocks c.free_blocks)
-      r.classes
 end
 
 (* ------------------------------------------------------------------ *)

@@ -468,36 +468,10 @@ val reset_stats : t -> unit
 
 (** {1 Introspection} *)
 
-(** Offline heap inspection: per-class superblock utilization and
-    allocated/free block counts, derived by walking the descriptors.
-    Quiescent use (tests, the [rheap] fsck tool, capacity planning). *)
+(** Test oracles over the calling domain's thread caches.  Heap-wide
+    occupancy is {!census}; the reachable-vs-allocated verdict is
+    {!audit}. *)
 module Debug : sig
-  type class_report = {
-    size_class : int;
-    block_size : int;
-    superblocks : int;
-    full : int;
-    partial : int;
-    free_blocks : int;
-    allocated_blocks : int;  (** includes blocks sitting in thread caches *)
-  }
-
-  type report = {
-    provisioned_superblocks : int;
-    empty_superblocks : int;
-    large_superblocks : int;
-    total_allocated_blocks : int;
-    total_free_blocks : int;
-    classes : class_report list;  (** only classes with superblocks *)
-    dirty : bool;
-  }
-
-  val report : t -> report
-  (** Build a report from one walk over the descriptors. *)
-
-  val pp_report : Format.formatter -> report -> unit
-  (** Human-readable per-class table. *)
-
   val cached_blocks : t -> int list
   (** Every block address held by the {e calling} domain's caches — the
       LIFO arrays, the lazily-adopted owned chains (walked through their

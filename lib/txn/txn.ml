@@ -213,7 +213,13 @@ let run t f =
   let slot = claim_slot t in
   let ctx = make_ctx t slot in
   Obs.Counter.incr obs_begin;
-  (match f ctx with
+  (* an overflowing write set is refused before any log word is written,
+     and rolls back like any other exception *)
+  (match
+     let result = f ctx in
+     if Hashtbl.length ctx.writes > t.capacity then raise Log_overflow;
+     result
+   with
   | result ->
     if Hashtbl.length ctx.writes > 0 then begin
       let obs = Obs.on () in

@@ -1,10 +1,16 @@
-(* Tests for the data-structure layer: Treiber stack, M&S queues,
+(* Tests for the data-structure layer: Treiber stack, M&S queue,
    Natarajan-Mittal BST, red-black tree, hash map — including crash
    recovery of the persistent structures and model-based property tests. *)
 
 let mb = 1 lsl 20
 
 let with_heap ?(size = 16 * mb) f = f (Ralloc.create ~name:"ds" ~size ())
+
+(* Blocks the superblocks hold as allocated once this domain's cache is
+   handed back. *)
+let allocated h =
+  Ralloc.flush_thread_cache h;
+  (Ralloc.census h).Ralloc.Census.allocated_blocks
 
 (* ------------------------- Pstack ------------------------- *)
 
@@ -22,6 +28,24 @@ let test_pstack_basic () =
           (Dstruct.Pstack.pop_free s)
       done;
       Alcotest.(check (option int)) "pop empty" None (Dstruct.Pstack.pop_free s))
+
+(* [pop] hands the node to the caller, who owns it until it frees it. *)
+let test_pstack_pop_hands_back_node () =
+  with_heap (fun h ->
+      let s = Dstruct.Pstack.create h ~root:0 in
+      let before = allocated h in
+      for i = 1 to 3 do
+        ignore (Dstruct.Pstack.push s i)
+      done;
+      match Dstruct.Pstack.pop s with
+      | None -> Alcotest.fail "pop of a non-empty stack"
+      | Some (v, node) ->
+        Alcotest.(check int) "top value" 3 v;
+        Alcotest.(check int) "caller still owns the node" (before + 3)
+          (allocated h);
+        Ralloc.free h node;
+        Alcotest.(check int) "freed by the caller" (before + 2) (allocated h);
+        Alcotest.(check int) "rest of the stack" 2 (Dstruct.Pstack.length s))
 
 let test_pstack_crash_recovery () =
   with_heap (fun h ->
@@ -66,72 +90,6 @@ let test_pstack_concurrent_push () =
         (fun i b -> if not b then Alcotest.failf "missing element %d" i)
         seen)
 
-(* ------------------------- Pqueue ------------------------- *)
-
-let test_pqueue_fifo () =
-  with_heap (fun h ->
-      let q = Dstruct.Pqueue.create h ~root:1 in
-      Alcotest.(check bool) "empty" true (Dstruct.Pqueue.is_empty q);
-      for i = 1 to 200 do
-        Alcotest.(check bool) "enqueue" true (Dstruct.Pqueue.enqueue q i)
-      done;
-      Alcotest.(check int) "length" 200 (Dstruct.Pqueue.length q);
-      for i = 1 to 200 do
-        Alcotest.(check (option int)) "dequeue FIFO" (Some i)
-          (Dstruct.Pqueue.dequeue_free q)
-      done;
-      Alcotest.(check (option int)) "empty again" None
-        (Dstruct.Pqueue.dequeue_free q))
-
-let test_pqueue_crash_recovery () =
-  with_heap (fun h ->
-      let q = Dstruct.Pqueue.create h ~root:0 in
-      for i = 1 to 500 do
-        ignore (Dstruct.Pqueue.enqueue q i)
-      done;
-      (* consume some to move the dummy *)
-      for _ = 1 to 100 do
-        ignore (Dstruct.Pqueue.dequeue_free q)
-      done;
-      let h, _ = Ralloc.crash_and_reopen h in
-      let q = Dstruct.Pqueue.attach h ~root:0 in
-      ignore (Ralloc.recover h);
-      Alcotest.(check int) "length preserved" 400 (Dstruct.Pqueue.length q);
-      for i = 101 to 500 do
-        Alcotest.(check (option int)) "order preserved" (Some i)
-          (Dstruct.Pqueue.dequeue_free q)
-      done)
-
-let test_pqueue_concurrent () =
-  with_heap (fun h ->
-      let q = Dstruct.Pqueue.create h ~root:0 in
-      let producers = 2 and per = 1500 in
-      let consumed = Atomic.make 0 in
-      let stop = Atomic.make false in
-      let prods =
-        List.init producers (fun tid ->
-            Domain.spawn (fun () ->
-                for i = 0 to per - 1 do
-                  ignore (Dstruct.Pqueue.enqueue q ((tid * per) + i))
-                done;
-                Ralloc.flush_thread_cache h))
-      in
-      let cons =
-        Domain.spawn (fun () ->
-            (* single consumer may free retired dummies safely *)
-            while not (Atomic.get stop) || not (Dstruct.Pqueue.is_empty q) do
-              match Dstruct.Pqueue.dequeue_free q with
-              | Some _ -> Atomic.incr consumed
-              | None -> Domain.cpu_relax ()
-            done;
-            Ralloc.flush_thread_cache h)
-      in
-      List.iter Domain.join prods;
-      Atomic.set stop true;
-      Domain.join cons;
-      Alcotest.(check int) "all consumed" (producers * per)
-        (Atomic.get consumed))
-
 (* ------------------------- Msqueue (SPSC) ------------------------- *)
 
 let test_msqueue_spsc () =
@@ -159,6 +117,33 @@ let test_msqueue_spsc () =
   Domain.join producer;
   Alcotest.(check int) "sum of 1..n" (n * (n + 1) / 2) !sum;
   Alcotest.(check bool) "empty" true (Dstruct.Msqueue.is_empty q)
+
+(* The prod-con queue over every allocator of the evaluation: one domain
+   alternating enqueues and dequeues must see FIFO order. *)
+let test_msqueue_fifo_all_allocators () =
+  List.iter
+    (fun name ->
+      let a = Baselines.Allocators.make name ~size:(4 * mb) in
+      let q = Dstruct.Msqueue.create a in
+      let model = Queue.create () in
+      let rng = Random.State.make [| 11 |] in
+      for i = 1 to 2000 do
+        if Random.State.int rng 3 > 0 then begin
+          Alcotest.(check bool) (name ^ ": enqueue") true
+            (Dstruct.Msqueue.enqueue q i);
+          Queue.add i model
+        end
+        else
+          Alcotest.(check (option int)) (name ^ ": dequeue")
+            (Queue.take_opt model) (Dstruct.Msqueue.dequeue q)
+      done;
+      while not (Queue.is_empty model) do
+        Alcotest.(check (option int)) (name ^ ": drain")
+          (Queue.take_opt model) (Dstruct.Msqueue.dequeue q)
+      done;
+      Alcotest.(check bool) (name ^ ": empty") true (Dstruct.Msqueue.is_empty q);
+      Alloc_iface.thread_exit a)
+    Baselines.Allocators.names
 
 (* ------------------------- Nmtree ------------------------- *)
 
@@ -272,6 +257,94 @@ let test_nmtree_crash_recovery () =
       Alcotest.(check bool) "delete after recovery" true
         (Dstruct.Nmtree.delete t 10_001))
 
+let test_nmtree_reclaim_churn () =
+  with_heap (fun h ->
+      let t = Dstruct.Nmtree.create ~reclaim:true h ~root:0 in
+      let before = allocated h in
+      for round = 1 to 20 do
+        for k = 0 to 199 do
+          ignore (Dstruct.Nmtree.insert t k round)
+        done;
+        for k = 0 to 199 do
+          ignore (Dstruct.Nmtree.delete t k)
+        done
+      done;
+      (* each delete frees the leaf and its parent: what the insert took *)
+      Alcotest.(check int) "back to the sentinels" before (allocated h);
+      Dstruct.Nmtree.check_invariants t)
+
+let test_nmtree_key_range () =
+  with_heap (fun h ->
+      let t = Dstruct.Nmtree.create h ~root:0 in
+      let max_key = Dstruct.Nmtree.max_key in
+      Alcotest.(check bool) "max_key accepted" true
+        (Dstruct.Nmtree.insert t max_key 1);
+      Alcotest.(check bool) "zero accepted" true (Dstruct.Nmtree.insert t 0 2);
+      Alcotest.(check (option int)) "max_key found" (Some 1)
+        (Dstruct.Nmtree.find t max_key);
+      List.iter
+        (fun k ->
+          match Dstruct.Nmtree.insert t k 0 with
+          | _ -> Alcotest.failf "key %d accepted" k
+          | exception Invalid_argument _ -> ())
+        [ -1; max_key + 1 ];
+      Alcotest.(check int) "size" 2 (Dstruct.Nmtree.size t);
+      Dstruct.Nmtree.check_invariants t)
+
+let test_nmtree_clean_restart () =
+  let path = Filename.temp_file "nmtree" "heap" in
+  Sys.remove path;
+  let h, _ = Ralloc.init ~path ~size:(4 * mb) () in
+  let t = Dstruct.Nmtree.create h ~root:0 in
+  for i = 0 to 299 do
+    ignore (Dstruct.Nmtree.insert t ((i * 37) mod 1000) i)
+  done;
+  Ralloc.close h;
+  let h, status = Ralloc.init ~path ~size:(4 * mb) () in
+  Alcotest.(check bool) "clean restart" true (status = Ralloc.Clean_restart);
+  let t = Dstruct.Nmtree.attach h ~root:0 in
+  Dstruct.Nmtree.check_invariants t;
+  Alcotest.(check int) "size" 300 (Dstruct.Nmtree.size t);
+  Alcotest.(check (option int)) "value" (Some 10)
+    (Dstruct.Nmtree.find t 370);
+  Alcotest.(check bool) "usable" true (Dstruct.Nmtree.insert t 1000 0);
+  Ralloc.close h;
+  List.iter (fun ext -> Sys.remove (path ^ ext)) [ ".meta"; ".desc"; ".sb" ]
+
+(* Exhausting the heap mid-insert must not strand the half-built pair of
+   nodes: the offline audit of the closed image, tracing through the
+   tree's own filter, finds nothing allocated that the tree cannot reach. *)
+let test_nmtree_oom_frees_partial_insert () =
+  let path = Filename.temp_file "nmtree" "heap" in
+  Sys.remove path;
+  let h, _ = Ralloc.init ~path ~size:(256 * 1024) () in
+  let t = Dstruct.Nmtree.create h ~root:0 in
+  let rng = Random.State.make [| 3 |] in
+  let fill () =
+    try
+      while true do
+        let k = Random.State.bits rng in
+        ignore (Dstruct.Nmtree.insert t k k)
+      done
+    with Failure _ -> ()
+  in
+  (* one node-sized spare, freed into a full heap, leaves exactly one
+     block for an insert that needs two *)
+  let spare = Ralloc.malloc h 32 in
+  fill ();
+  Ralloc.free h spare;
+  fill ();
+  let size = Dstruct.Nmtree.size t in
+  Ralloc.close h;
+  let img, _ = Ralloc.open_image ~path in
+  let t = Dstruct.Nmtree.attach img ~root:0 in
+  ignore (Ralloc.get_root ~filter:(Dstruct.Nmtree.filter img) img 0);
+  let a = Ralloc.audit img in
+  List.iter (fun ext -> Sys.remove (path ^ ext)) [ ".meta"; ".desc"; ".sb" ];
+  Alcotest.(check int) "size survives" size (Dstruct.Nmtree.size t);
+  Alcotest.(check int) "no leaked blocks" 0 a.Ralloc.Audit.leaked_blocks;
+  Alcotest.(check bool) "consistent" true a.Ralloc.Audit.consistent
+
 (* ------------------------- Rbtree ------------------------- *)
 
 module RB = Dstruct.Rbtree.Make (Baselines.Allocators.Ralloc_alloc)
@@ -333,6 +406,19 @@ let test_rbtree_sequential_inserts () =
       done;
       RB.check_invariants t;
       Alcotest.(check int) "half deleted" 2500 (RB.size t))
+
+let test_rbtree_delete_frees () =
+  with_heap (fun h ->
+      let t = RB.create h in
+      let before = allocated h in
+      for i = 1 to 1000 do
+        ignore (RB.insert t ((i * 7919) mod 1009) i)
+      done;
+      for i = 0 to 1008 do
+        ignore (RB.delete t i)
+      done;
+      Alcotest.(check int) "empty" 0 (RB.size t);
+      Alcotest.(check int) "every node freed" before (allocated h))
 
 (* ------------------------- Hashmap ------------------------- *)
 
@@ -398,6 +484,25 @@ let test_hashmap_concurrent () =
       Alcotest.(check (option string)) "spot check" (Some "v500")
         (HM.get m "t2-500"))
 
+(* Replacing a value frees the old value block; deleting frees the node
+   and both strings. *)
+let test_hashmap_frees_blocks () =
+  with_heap (fun h ->
+      let m = HM.create h ~buckets:64 in
+      let before = allocated h in
+      for i = 0 to 499 do
+        ignore (HM.set m (Printf.sprintf "key-%d" i) "first")
+      done;
+      let full = allocated h in
+      for i = 0 to 499 do
+        ignore (HM.set m (Printf.sprintf "key-%d" i) (String.make 100 'x'))
+      done;
+      Alcotest.(check int) "replacement frees the old value" full (allocated h);
+      for i = 0 to 499 do
+        ignore (HM.delete m (Printf.sprintf "key-%d" i))
+      done;
+      Alcotest.(check int) "delete frees everything" before (allocated h))
+
 let () =
   Alcotest.run "dstruct"
     [
@@ -405,15 +510,16 @@ let () =
         [
           Alcotest.test_case "basic LIFO" `Quick test_pstack_basic;
           Alcotest.test_case "crash recovery" `Quick test_pstack_crash_recovery;
+          Alcotest.test_case "pop hands back the node" `Quick
+            test_pstack_pop_hands_back_node;
           Alcotest.test_case "concurrent push" `Slow test_pstack_concurrent_push;
         ] );
-      ( "pqueue",
+      ( "msqueue",
         [
-          Alcotest.test_case "FIFO" `Quick test_pqueue_fifo;
-          Alcotest.test_case "crash recovery" `Quick test_pqueue_crash_recovery;
-          Alcotest.test_case "concurrent MPSC" `Slow test_pqueue_concurrent;
+          Alcotest.test_case "SPSC" `Slow test_msqueue_spsc;
+          Alcotest.test_case "FIFO over every allocator" `Quick
+            test_msqueue_fifo_all_allocators;
         ] );
-      ("msqueue", [ Alcotest.test_case "SPSC" `Slow test_msqueue_spsc ]);
       ( "nmtree",
         [
           Alcotest.test_case "basic" `Quick test_nmtree_basic;
@@ -423,6 +529,11 @@ let () =
           Alcotest.test_case "concurrent mixed" `Slow
             test_nmtree_concurrent_mixed;
           Alcotest.test_case "crash recovery" `Quick test_nmtree_crash_recovery;
+          Alcotest.test_case "OOM frees a partial insert" `Quick
+            test_nmtree_oom_frees_partial_insert;
+          Alcotest.test_case "reclaim churn" `Quick test_nmtree_reclaim_churn;
+          Alcotest.test_case "key range" `Quick test_nmtree_key_range;
+          Alcotest.test_case "clean restart" `Quick test_nmtree_clean_restart;
         ] );
       ( "rbtree",
         [
@@ -430,12 +541,14 @@ let () =
           Alcotest.test_case "vs model" `Quick test_rbtree_vs_model;
           Alcotest.test_case "sequential stress" `Quick
             test_rbtree_sequential_inserts;
+          Alcotest.test_case "delete frees" `Quick test_rbtree_delete_frees;
         ] );
       ( "hashmap",
         [
           Alcotest.test_case "basic" `Quick test_hashmap_basic;
           Alcotest.test_case "many keys" `Quick test_hashmap_many;
           Alcotest.test_case "long strings" `Quick test_hashmap_long_strings;
+          Alcotest.test_case "frees blocks" `Quick test_hashmap_frees_blocks;
           Alcotest.test_case "concurrent" `Slow test_hashmap_concurrent;
         ] );
     ]

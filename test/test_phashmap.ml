@@ -62,6 +62,71 @@ let test_binary_values () =
       Alcotest.(check (option string)) "binary value intact" (Some v)
         (Dstruct.Phashmap.get m "bin"))
 
+let test_empty_strings () =
+  with_map (fun _ m ->
+      Alcotest.(check bool) "empty key" true (Dstruct.Phashmap.set m "" "v");
+      Alcotest.(check bool) "empty value" true (Dstruct.Phashmap.set m "k" "");
+      Alcotest.(check (option string)) "get empty key" (Some "v")
+        (Dstruct.Phashmap.get m "");
+      Alcotest.(check (option string)) "get empty value" (Some "")
+        (Dstruct.Phashmap.get m "k");
+      Alcotest.(check bool) "delete empty key" true
+        (Dstruct.Phashmap.delete m "");
+      Alcotest.(check int) "length" 1 (Dstruct.Phashmap.length m))
+
+let allocated heap =
+  Ralloc.flush_thread_cache heap;
+  (Ralloc.census heap).Ralloc.Census.allocated_blocks
+
+(* With [~reclaim:true], an update retires the previous binding's node and
+   both its strings. *)
+let test_update_churn_bounded () =
+  with_map (fun heap m ->
+      for i = 0 to 99 do
+        ignore (Dstruct.Phashmap.set m (Printf.sprintf "k%d" i) "0")
+      done;
+      let full = allocated heap in
+      for round = 1 to 50 do
+        for i = 0 to 99 do
+          ignore
+            (Dstruct.Phashmap.set m (Printf.sprintf "k%d" i) (string_of_int round))
+        done
+      done;
+      Alcotest.(check int) "steady state" full (allocated heap);
+      Alcotest.(check (option string)) "newest" (Some "50")
+        (Dstruct.Phashmap.get m "k7"))
+
+let test_delete_frees_all () =
+  with_map (fun heap m ->
+      let before = allocated heap in
+      for i = 0 to 299 do
+        ignore (Dstruct.Phashmap.set m (Printf.sprintf "k%d" i) (String.make 40 'v'))
+      done;
+      for i = 0 to 299 do
+        ignore (Dstruct.Phashmap.delete m (Printf.sprintf "k%d" i))
+      done;
+      Alcotest.(check int) "node and strings freed" before (allocated heap);
+      Alcotest.(check int) "empty" 0 (Dstruct.Phashmap.length m))
+
+let test_clean_restart () =
+  let path = Filename.temp_file "phashmap" "heap" in
+  Sys.remove path;
+  let heap, _ = Ralloc.init ~path ~size:(4 * mb) () in
+  let m = Dstruct.Phashmap.create heap ~root:0 ~buckets:64 in
+  for i = 0 to 199 do
+    ignore (Dstruct.Phashmap.set m (Printf.sprintf "k%d" i) (string_of_int (i * 3)))
+  done;
+  Ralloc.close heap;
+  let heap, status = Ralloc.init ~path ~size:(4 * mb) () in
+  Alcotest.(check bool) "clean restart" true (status = Ralloc.Clean_restart);
+  let m = Dstruct.Phashmap.attach heap ~root:0 in
+  Alcotest.(check int) "length" 200 (Dstruct.Phashmap.length m);
+  Alcotest.(check (option string)) "value" (Some "300")
+    (Dstruct.Phashmap.get m "k100");
+  Alcotest.(check bool) "usable" true (Dstruct.Phashmap.set m "new" "x");
+  Ralloc.close heap;
+  List.iter (fun ext -> Sys.remove (path ^ ext)) [ ".meta"; ".desc"; ".sb" ]
+
 let test_crash_recovery () =
   let heap = Ralloc.create ~name:"phm-crash" ~size:(32 * mb) () in
   let m = Dstruct.Phashmap.create heap ~root:0 ~buckets:128 in
@@ -165,6 +230,33 @@ let test_same_key_contention () =
   Dstruct.Phashmap.iter (fun k _ -> if String.equal k "hot" then incr live) m;
   Alcotest.(check int) "one live binding" 1 !live
 
+(* Exhausting the heap mid-set must not strand the node or the key string
+   already taken: the offline audit of the closed image, tracing through
+   the map's own filter, finds nothing the map cannot reach.  Values sit
+   in a class 16 to a superblock, so the value is what runs out. *)
+let test_oom_frees_partial_set () =
+  let path = Filename.temp_file "phashmap" "heap" in
+  Sys.remove path;
+  let heap, _ = Ralloc.init ~path ~size:(512 * 1024) () in
+  let m = Dstruct.Phashmap.create heap ~root:0 ~buckets:64 in
+  let value = String.make 4000 'v' in
+  let n = ref 0 in
+  (try
+     while true do
+       ignore (Dstruct.Phashmap.set m (Printf.sprintf "k%d" !n) value);
+       incr n
+     done
+   with Failure _ -> ());
+  Ralloc.close heap;
+  let img, _ = Ralloc.open_image ~path in
+  let m = Dstruct.Phashmap.attach img ~root:0 in
+  ignore (Ralloc.get_root ~filter:(Dstruct.Phashmap.filter img) img 0);
+  let a = Ralloc.audit img in
+  List.iter (fun ext -> Sys.remove (path ^ ext)) [ ".meta"; ".desc"; ".sb" ];
+  Alcotest.(check int) "bindings survive" !n (Dstruct.Phashmap.length m);
+  Alcotest.(check int) "no leaked blocks" 0 a.Ralloc.Audit.leaked_blocks;
+  Alcotest.(check bool) "consistent" true a.Ralloc.Audit.consistent
+
 let () =
   Alcotest.run "phashmap"
     [
@@ -175,12 +267,19 @@ let () =
           Alcotest.test_case "iter live bindings" `Quick
             test_iter_sees_live_bindings;
           Alcotest.test_case "binary values" `Quick test_binary_values;
+          Alcotest.test_case "empty strings" `Quick test_empty_strings;
+          Alcotest.test_case "update churn bounded" `Quick
+            test_update_churn_bounded;
+          Alcotest.test_case "delete frees all" `Quick test_delete_frees_all;
         ] );
       ( "recovery",
         [
           Alcotest.test_case "crash recovery" `Quick test_crash_recovery;
+          Alcotest.test_case "clean restart" `Quick test_clean_restart;
           Alcotest.test_case "filter tames string data" `Quick
             test_filter_tames_string_data;
+          Alcotest.test_case "OOM frees a partial set" `Quick
+            test_oom_frees_partial_set;
         ] );
       ( "concurrency",
         [

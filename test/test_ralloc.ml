@@ -379,9 +379,6 @@ let test_census_oracle () =
         Alcotest.(check int) "class free" 924 r.Ralloc.Census.free_blocks;
         Alcotest.(check int) "no slack at 64 B" 0 r.Ralloc.Census.slack_bytes
       | l -> Alcotest.failf "expected one active class, got %d" (List.length l));
-      (* the census and the older Debug.report must tell the same story *)
-      let r = Ralloc.Debug.report t in
-      Alcotest.(check int) "report agrees" 100 r.Ralloc.Debug.total_allocated_blocks;
       (* occupancy/internal_frag relations hold by definition *)
       Alcotest.(check (float 1e-9)) "occupancy"
         (float_of_int c.Ralloc.Census.allocated_bytes
@@ -401,6 +398,79 @@ let test_census_large_blocks () =
       Ralloc.free t va;
       let c = Ralloc.census t in
       Alcotest.(check int) "freed" 0 c.Ralloc.Census.large_blocks)
+
+(* Blocks freed into the calling domain's cache are still allocated as
+   far as the superblocks know; flushing the cache hands them back. *)
+let test_census_counts_cached_blocks () =
+  with_heap (fun t ->
+      let vas = Array.init 10 (fun _ -> Ralloc.malloc t 64) in
+      Ralloc.flush_thread_cache t;
+      Array.iter (Ralloc.free t) vas;
+      let c = Ralloc.census t in
+      Alcotest.(check int) "cached blocks count as allocated" 10
+        c.Ralloc.Census.allocated_blocks;
+      Ralloc.flush_thread_cache t;
+      let c = Ralloc.census t in
+      Alcotest.(check int) "returned by the flush" 0
+        c.Ralloc.Census.allocated_blocks)
+
+(* [allocated_blocks] counts small and large blocks; the per-class rows
+   count small blocks only. *)
+let test_census_small_and_large () =
+  with_heap (fun t ->
+      for _ = 1 to 10 do
+        assert (Ralloc.malloc t 64 <> 0)
+      done;
+      assert (Ralloc.malloc t 100_000 <> 0);
+      Ralloc.flush_thread_cache t;
+      let c = Ralloc.census t in
+      let small =
+        List.fold_left
+          (fun acc (r : Ralloc.Census.class_stats) -> acc + r.allocated_blocks)
+          0 c.Ralloc.Census.classes
+      in
+      Alcotest.(check int) "small + large" 11 c.Ralloc.Census.allocated_blocks;
+      Alcotest.(check int) "per-class rows" 10 small;
+      Alcotest.(check int) "large" 1 c.Ralloc.Census.large_blocks)
+
+(* A block size that does not divide the 64 KB superblock leaves
+   geometry slack, which is what internal fragmentation measures. *)
+let test_census_geometry_slack () =
+  with_heap (fun t ->
+      assert (Ralloc.malloc t 48 <> 0);
+      Ralloc.flush_thread_cache t;
+      let c = Ralloc.census t in
+      match c.Ralloc.Census.classes with
+      | [ r ] ->
+        Alcotest.(check int) "block size" 48 r.Ralloc.Census.block_size;
+        Alcotest.(check int) "class slack" (65536 mod 48)
+          r.Ralloc.Census.slack_bytes;
+        Alcotest.(check int) "heap slack" (65536 mod 48)
+          c.Ralloc.Census.slack_bytes;
+        Alcotest.(check (float 1e-9)) "internal frag"
+          (float_of_int (65536 mod 48)
+          /. float_of_int c.Ralloc.Census.provisioned_bytes)
+          c.Ralloc.Census.internal_frag
+      | l -> Alcotest.failf "expected one active class, got %d" (List.length l))
+
+(* The dirty flag as an offline inspector sees it: set on an image whose
+   process died, clear on one that was closed. *)
+let test_census_dirty_images () =
+  let path = Filename.temp_file "census" "heap" in
+  Sys.remove path;
+  let files = List.map (fun ext -> path ^ ext) [ ".meta"; ".desc"; ".sb" ] in
+  let t, _ = Ralloc.init ~path ~size:(2 * mb) () in
+  let _ = build_list t 20 in
+  let img, _ = Ralloc.open_image ~path in
+  let c = Ralloc.census img in
+  Alcotest.(check bool) "open image is dirty" true c.Ralloc.Census.dirty;
+  Ralloc.close t;
+  let img, status = Ralloc.open_image ~path in
+  Alcotest.(check bool) "clean status" true (status = Ralloc.Clean_restart);
+  let c = Ralloc.census img in
+  Alcotest.(check bool) "closed image is clean" false c.Ralloc.Census.dirty;
+  Alcotest.(check int) "the list's blocks" 20 c.Ralloc.Census.allocated_blocks;
+  List.iter Sys.remove files
 
 (* The audit against a known reachability pattern: a rooted list is
    reachable, stray mallocs are leaks; freeing them restores the
@@ -622,6 +692,14 @@ let () =
           Alcotest.test_case "census oracle 100x64B" `Quick test_census_oracle;
           Alcotest.test_case "census large blocks" `Quick
             test_census_large_blocks;
+          Alcotest.test_case "census counts cached blocks" `Quick
+            test_census_counts_cached_blocks;
+          Alcotest.test_case "census small and large" `Quick
+            test_census_small_and_large;
+          Alcotest.test_case "census geometry slack" `Quick
+            test_census_geometry_slack;
+          Alcotest.test_case "census dirty images" `Quick
+            test_census_dirty_images;
           Alcotest.test_case "audit oracle leaks" `Quick test_audit_oracle;
           Alcotest.test_case "audit after recovery" `Quick
             test_audit_after_recovery;

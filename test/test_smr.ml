@@ -117,11 +117,10 @@ let test_memory_bounded_under_churn () =
   done;
   Ebr.flush ebr;
   Ralloc.flush_thread_cache heap;
-  let r = Ralloc.Debug.report heap in
+  let live = (Ralloc.census heap).Ralloc.Census.allocated_blocks in
   Alcotest.(check bool)
-    (Printf.sprintf "live blocks small (%d)" r.total_allocated_blocks)
-    true
-    (r.total_allocated_blocks < 1000)
+    (Printf.sprintf "live blocks small (%d)" live)
+    true (live < 1000)
 
 let test_nmtree_with_smr () =
   let heap = Ralloc.create ~name:"ebr7" ~size:(32 * mb) () in
@@ -154,12 +153,10 @@ let test_nmtree_with_smr () =
      all still be live.  Worker limbo lists that never drained stay
      allocated — that is the design — so the bound is loose here and the
      exact accounting is done by the GC below. *)
-  let r = Ralloc.Debug.report heap in
+  let allocated = (Ralloc.census heap).Ralloc.Census.allocated_blocks in
   Alcotest.(check bool)
-    (Printf.sprintf "EBR recycled under churn (%d allocated)"
-       r.total_allocated_blocks)
-    true
-    (r.total_allocated_blocks < 10_000);
+    (Printf.sprintf "EBR recycled under churn (%d allocated)" allocated)
+    true (allocated < 10_000);
   (* a crash turns the stranded limbo entries into garbage: afterwards
      exactly the live tree remains *)
   let live = Dstruct.Nmtree.size tree in

@@ -33,10 +33,16 @@ let test_abort_rolls_back () =
       Alcotest.(check int) "unchanged" 5 (Ralloc.load heap a);
       Alcotest.(check int) "no slots leaked" 0 (Txn.slots_in_use mgr))
 
+(* Small-class blocks only: the manager's log slots are large blocks. *)
+let small_allocated heap =
+  List.fold_left
+    (fun acc (c : Ralloc.Census.class_stats) -> acc + c.allocated_blocks)
+    0 (Ralloc.census heap).Ralloc.Census.classes
+
 let test_abort_frees_mallocs () =
   with_txn (fun heap mgr ->
       Ralloc.flush_thread_cache heap;
-      let before = (Ralloc.Debug.report heap).total_allocated_blocks in
+      let before = small_allocated heap in
       (try
          Txn.run mgr (fun tx ->
              for _ = 1 to 10 do
@@ -45,7 +51,7 @@ let test_abort_frees_mallocs () =
              Txn.abort ())
        with Txn.Abort -> ());
       Ralloc.flush_thread_cache heap;
-      let after = (Ralloc.Debug.report heap).total_allocated_blocks in
+      let after = small_allocated heap in
       Alcotest.(check int) "allocations released" before after)
 
 let test_free_is_deferred () =
@@ -136,6 +142,89 @@ let test_leaked_txn_alloc_collected () =
       Alcotest.(check int) "only rooted blocks survive" 10
         stats.reachable_blocks)
 
+(* Blocks a committed transaction allocated and linked are ordinary live
+   data to the recovery GC. *)
+let test_committed_mallocs_survive_crash () =
+  with_txn (fun heap mgr ->
+      let anchor = Ralloc.malloc heap 64 in
+      for i = 0 to 7 do
+        Ralloc.store heap (anchor + (8 * i)) 0
+      done;
+      Ralloc.flush_block_range heap anchor 64;
+      Ralloc.fence heap;
+      Ralloc.set_root heap 1 anchor;
+      Txn.run mgr (fun tx ->
+          for i = 0 to 3 do
+            let n = Txn.malloc tx 64 in
+            Txn.store tx n (100 + i);
+            Txn.store_ptr tx ~at:(anchor + (8 * i)) ~target:n
+          done);
+      let heap, _ = Ralloc.crash_and_reopen heap in
+      ignore (Txn.attach heap ~root:0);
+      ignore (Ralloc.get_root heap 1);
+      let stats = Ralloc.recover heap in
+      (* anchor + 4 nodes + txn index + 8 slot blocks *)
+      Alcotest.(check int) "linked blocks live" 14 stats.reachable_blocks;
+      let anchor = Ralloc.get_root heap 1 in
+      for i = 0 to 3 do
+        Alcotest.(check int) "node content" (100 + i)
+          (Ralloc.load heap (Ralloc.read_ptr heap (anchor + (8 * i))))
+      done)
+
+(* A crash after the commit record but before apply also loses the
+   deferred free; replay unlinks the old block, so the GC collects it. *)
+let test_crash_before_deferred_free () =
+  with_txn (fun heap mgr ->
+      let anchor = Ralloc.malloc heap 64 and old = Ralloc.malloc heap 64 in
+      Ralloc.store heap old 1;
+      Ralloc.write_ptr heap ~at:anchor ~target:old;
+      Ralloc.flush_block_range heap anchor 64;
+      Ralloc.flush_block_range heap old 64;
+      Ralloc.fence heap;
+      Ralloc.set_root heap 1 anchor;
+      Txn.Private.commit_record_only mgr (fun tx ->
+          let fresh = Txn.malloc tx 64 in
+          Txn.store tx fresh 2;
+          Txn.store_ptr tx ~at:anchor ~target:fresh;
+          Txn.free tx old);
+      let heap, _ = Ralloc.crash_and_reopen heap in
+      ignore (Txn.attach heap ~root:0);
+      ignore (Ralloc.get_root heap 1);
+      let stats = Ralloc.recover heap in
+      (* anchor + fresh + txn index + 8 slot blocks; [old] is garbage *)
+      Alcotest.(check int) "old block collected" 11 stats.reachable_blocks;
+      let anchor = Ralloc.get_root heap 1 in
+      Alcotest.(check int) "replayed swing" 2
+        (Ralloc.load heap (Ralloc.read_ptr heap anchor));
+      let a = Ralloc.audit heap in
+      Alcotest.(check bool) "audit consistent" true a.Ralloc.Audit.consistent)
+
+let test_clean_restart_via_files () =
+  let path = Filename.temp_file "txn" "heap" in
+  Sys.remove path;
+  let heap, _ = Ralloc.init ~path ~size:(4 * mb) () in
+  let mgr = Txn.create heap ~root:0 in
+  let a = Ralloc.malloc heap 16 in
+  Ralloc.store heap a 0;
+  Ralloc.store heap (a + 8) 0;
+  Ralloc.flush_block_range heap a 16;
+  Ralloc.fence heap;
+  Ralloc.set_root heap 1 a;
+  Txn.run mgr (fun tx ->
+      Txn.store tx a 7;
+      Txn.store tx (a + 8) 8);
+  Ralloc.close heap;
+  let heap, status = Ralloc.init ~path ~size:(4 * mb) () in
+  Alcotest.(check bool) "clean restart" true (status = Ralloc.Clean_restart);
+  let mgr = Txn.attach heap ~root:0 in
+  let a = Ralloc.get_root heap 1 in
+  Alcotest.(check int) "first word" 7 (Ralloc.load heap a);
+  Alcotest.(check int) "second word" 8 (Ralloc.load heap (a + 8));
+  Txn.run mgr (fun tx -> Txn.store tx a 9);
+  Alcotest.(check int) "usable after reopen" 9 (Ralloc.load heap a);
+  Ralloc.close heap;
+  List.iter (fun ext -> Sys.remove (path ^ ext)) [ ".meta"; ".desc"; ".sb" ]
+
 let test_log_overflow () =
   let heap = Ralloc.create ~name:"txn-of" ~size:(16 * mb) () in
   let mgr = Txn.create ~log_capacity:4 heap ~root:0 in
@@ -145,6 +234,98 @@ let test_log_overflow () =
           for i = 0 to 4 do
             Txn.store tx (a + (8 * i)) i
           done))
+
+(* An overflowing write set must leave nothing behind: no applied store,
+   no held slot, no block from the transaction's mallocs. *)
+let test_log_overflow_releases () =
+  let heap = Ralloc.create ~name:"txn-of-rel" ~size:(16 * mb) () in
+  let mgr = Txn.create ~log_capacity:4 heap ~root:0 in
+  let a = Ralloc.malloc heap 64 in
+  for i = 0 to 4 do
+    Ralloc.store heap (a + (8 * i)) 0
+  done;
+  Ralloc.flush_thread_cache heap;
+  let before = small_allocated heap in
+  Alcotest.check_raises "overflow" Txn.Log_overflow (fun () ->
+      Txn.run mgr (fun tx ->
+          ignore (Txn.malloc tx 64);
+          for i = 0 to 4 do
+            Txn.store tx (a + (8 * i)) (i + 1)
+          done));
+  Alcotest.(check int) "slot released" 0 (Txn.slots_in_use mgr);
+  Alcotest.(check int) "nothing applied" 0 (Ralloc.load heap a);
+  Ralloc.flush_thread_cache heap;
+  Alcotest.(check int) "malloc released" before (small_allocated heap);
+  Txn.run mgr (fun tx -> Txn.store tx a 9);
+  Alcotest.(check int) "manager still usable" 9 (Ralloc.load heap a)
+
+let test_foreign_exception_rolls_back () =
+  with_txn (fun heap mgr ->
+      let a = Ralloc.malloc heap 64 in
+      Ralloc.store heap a 5;
+      Ralloc.flush_thread_cache heap;
+      let before = small_allocated heap in
+      Alcotest.check_raises "propagates unchanged" Not_found (fun () ->
+          Txn.run mgr (fun tx ->
+              Txn.store tx a 6;
+              ignore (Txn.malloc tx 128);
+              raise Not_found));
+      Alcotest.(check int) "unchanged" 5 (Ralloc.load heap a);
+      Alcotest.(check int) "slot released" 0 (Txn.slots_in_use mgr);
+      Ralloc.flush_thread_cache heap;
+      Alcotest.(check int) "malloc released" before (small_allocated heap))
+
+let test_store_ptr_roundtrip () =
+  with_txn (fun heap mgr ->
+      let holder = Ralloc.malloc heap 64 and target = Ralloc.malloc heap 64 in
+      Ralloc.store heap holder 0;
+      Txn.run mgr (fun tx ->
+          Txn.store_ptr tx ~at:holder ~target;
+          Alcotest.(check int) "reads its own pointer" target
+            (Txn.load_ptr tx holder);
+          Alcotest.(check int) "not yet visible" 0 (Ralloc.read_ptr heap holder));
+      Alcotest.(check int) "applied" target (Ralloc.read_ptr heap holder))
+
+(* Txn.malloc returns 0 on an exhausted heap; aborting then hands back
+   every block the transaction took. *)
+let test_exhausted_abort_frees_all () =
+  with_txn ~size:(1 * mb) (fun heap mgr ->
+      Ralloc.flush_thread_cache heap;
+      let before = small_allocated heap in
+      let taken = ref 0 in
+      (try
+         Txn.run mgr (fun tx ->
+             while Txn.malloc tx 256 <> 0 do
+               incr taken
+             done;
+             Txn.abort ())
+       with Txn.Abort -> ());
+      Alcotest.(check bool) "filled the heap" true (!taken > 100);
+      Ralloc.flush_thread_cache heap;
+      Alcotest.(check int) "all released" before (small_allocated heap);
+      Alcotest.(check bool) "heap usable again" true (Ralloc.malloc heap 256 <> 0))
+
+(* Replacing a node per transaction (malloc the new one, swing the
+   pointer, free the old one) must recycle: the deferred frees really
+   happen. *)
+let test_replace_churn_bounded () =
+  with_txn (fun heap mgr ->
+      let anchor = Ralloc.malloc heap 64 in
+      Ralloc.write_ptr heap ~at:anchor ~target:(Ralloc.malloc heap 64);
+      Ralloc.flush_thread_cache heap;
+      let before = small_allocated heap in
+      for i = 1 to 5000 do
+        Txn.run mgr (fun tx ->
+            let old = Txn.load_ptr tx anchor in
+            let fresh = Txn.malloc tx 64 in
+            Txn.store tx fresh i;
+            Txn.store_ptr tx ~at:anchor ~target:fresh;
+            Txn.free tx old)
+      done;
+      Ralloc.flush_thread_cache heap;
+      Alcotest.(check int) "steady state" before (small_allocated heap);
+      Alcotest.(check int) "newest node" 5000
+        (Ralloc.load heap (Ralloc.read_ptr heap anchor)))
 
 (* Transfers between persistent accounts with a crash after every batch:
    the total must be conserved no matter where the crashes land. *)
@@ -226,6 +407,16 @@ let () =
             test_abort_frees_mallocs;
           Alcotest.test_case "free is deferred" `Quick test_free_is_deferred;
           Alcotest.test_case "log overflow" `Quick test_log_overflow;
+          Alcotest.test_case "log overflow releases everything" `Quick
+            test_log_overflow_releases;
+          Alcotest.test_case "foreign exception rolls back" `Quick
+            test_foreign_exception_rolls_back;
+          Alcotest.test_case "store_ptr round trip" `Quick
+            test_store_ptr_roundtrip;
+          Alcotest.test_case "exhausted abort frees all" `Quick
+            test_exhausted_abort_frees_all;
+          Alcotest.test_case "replace churn bounded" `Quick
+            test_replace_churn_bounded;
         ] );
       ( "crashes",
         [
@@ -237,6 +428,12 @@ let () =
             test_leaked_txn_alloc_collected;
           Alcotest.test_case "bank invariant across crashes" `Quick
             test_bank_invariant_across_crashes;
+          Alcotest.test_case "committed mallocs survive crash" `Quick
+            test_committed_mallocs_survive_crash;
+          Alcotest.test_case "crash before deferred free" `Quick
+            test_crash_before_deferred_free;
+          Alcotest.test_case "clean restart via files" `Quick
+            test_clean_restart_via_files;
         ] );
       ( "concurrency",
         [
